@@ -41,16 +41,18 @@ type CPU struct {
 	// resuming stay deterministic.
 	blocker  isa.Blocker
 	inflight []inflightOp
-	// inflightStores counts in-flight stores so conflicts() can skip its
-	// window scan for loads when no store is outstanding — the common case
-	// on load-heavy traces.
-	inflightStores int
-	heldOp         isa.Op // next op, waiting for an overlap conflict to clear
-	heldSet        bool
-	cursor         uint64 // next program-order issue cycle
-	lastDone       uint64
-	exhausted      bool
-	pumping        bool
+	// tileOps/tileStores count in-flight ops and stores per tile bucket
+	// (tileBucket). Two ops can only overlap inside one tile, so a store
+	// whose bucket holds no op, or a load whose bucket holds no store,
+	// cannot conflict and windowConflicts skips its window scan.
+	tileOps    [tileBuckets]int32
+	tileStores [tileBuckets]int32
+	heldOp     isa.Op // next op, waiting for an overlap conflict to clear
+	heldSet    bool
+	cursor     uint64 // next program-order issue cycle
+	lastDone   uint64
+	exhausted  bool
+	pumping    bool
 
 	// freeSlots pools issue slots; each slot's issue/done callbacks are bound
 	// once at creation, so steady-state issue→complete allocates nothing.
@@ -98,6 +100,14 @@ func (c *CPU) instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.Counter(p+"vectors", &c.Vectors)
 	reg.Counter(p+"order_stalls", &c.OrderStalls)
 }
+
+// tileBuckets is the number of per-CPU tile buckets the in-flight counters
+// hash tiles into; tiles tileBuckets apart share a bucket, which only costs
+// an exact window scan.
+const tileBuckets = 1024
+
+// tileBucket returns the in-flight counter bucket of the tile holding addr.
+func tileBucket(addr uint64) uint64 { return (addr / isa.TileSize) % tileBuckets }
 
 type inflightOp struct {
 	token  uint64
@@ -194,8 +204,11 @@ func (c *CPU) conflicts(op isa.Op) bool {
 // windowConflicts checks op against this core's own in-flight window.
 func (c *CPU) windowConflicts(op isa.Op) bool {
 	isStore := op.Kind == isa.Store
-	if !isStore && c.inflightStores == 0 {
-		return false // a load can only conflict with an in-flight store
+	// Conflicts need a word overlap, hence the same tile: skip the scan
+	// when op's tile bucket holds nothing op could conflict with (a load
+	// only conflicts with stores).
+	if b := tileBucket(op.Addr); isStore && c.tileOps[b] == 0 || !isStore && c.tileStores[b] == 0 {
+		return false
 	}
 	id := isa.LineFor(op)
 	for i := range c.inflight {
@@ -288,8 +301,10 @@ func (c *CPU) issue(op isa.Op) {
 	c.tokenCounter++
 	tok := c.tokenCounter
 	isStore := op.Kind == isa.Store
+	b := tileBucket(op.Addr)
+	c.tileOps[b]++
 	if isStore {
-		c.inflightStores++
+		c.tileStores[b]++
 	}
 	c.inflight = append(c.inflight, inflightOp{
 		token: tok, line: isa.LineFor(op), addr: op.Addr,
@@ -307,9 +322,11 @@ func (c *CPU) retire(token uint64) {
 	// Swap-remove: conflicts() is an order-independent predicate over the
 	// window, so in-flight order need not be preserved.
 	for i := range c.inflight {
-		if c.inflight[i].token == token {
-			if c.inflight[i].store {
-				c.inflightStores--
+		if e := &c.inflight[i]; e.token == token {
+			b := tileBucket(e.line.Base)
+			c.tileOps[b]--
+			if e.store {
+				c.tileStores[b]--
 			}
 			last := len(c.inflight) - 1
 			c.inflight[i] = c.inflight[last]

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -14,8 +16,27 @@ import (
 )
 
 // SpecKey renders a RunSpec into the stable string used to identify its run
-// in a checkpoint file. Two specs with identical fields share a key.
-func SpecKey(spec RunSpec) string { return fmt.Sprintf("%+v", spec) }
+// in a checkpoint file and the service's spec caches. Two specs share a key
+// exactly when every field is equal. The key names each non-zero field,
+// "{Bench:sgemm N:16 Design:1P2L LLCBytes:1048576 Scale:16 Tech:reram}", so
+// it stays short and a field added later with a zero default leaves
+// existing keys valid.
+// (RunSpec.String is no key: it leaves out fields such as Tech and Scale.)
+func SpecKey(spec RunSpec) string {
+	v := reflect.ValueOf(spec)
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); !f.IsZero() {
+			if b.Len() > 1 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s:%v", v.Type().Field(i).Name, f.Interface())
+		}
+	}
+	b.WriteByte('}')
+	return b.String()
+}
 
 // CheckpointError is the typed error for every checkpoint failure: an
 // unreadable state file, corrupt or truncated JSON, a version mismatch, or a

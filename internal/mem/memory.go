@@ -155,9 +155,11 @@ type channelState struct {
 	draining bool
 	banks    []*bankState
 
-	// retryArmed/retryTime deduplicate bank-busy retry events: at most one
-	// outstanding retry per channel per deadline, keeping the event queue
-	// bounded under heavy load. retryFn is the pre-bound retry callback.
+	// retryArmed/retryTime name the channel's one live bank-busy retry wake:
+	// a failed issue arms it at the earliest bank-free cycle, re-arming only
+	// to an earlier cycle. A wake left queued by such a re-arm is stale, and
+	// retryFn drops it, so each channel has at most one retry chain however
+	// long its queues stay non-empty. retryFn is the pre-bound callback.
 	retryArmed bool
 	retryTime  uint64
 	retryFn    func()
@@ -298,6 +300,9 @@ func newMemory(q *sim.EventQueue, p Params, shards int, quantum uint64, parallel
 			ch.banks[b] = &bankState{}
 		}
 		ch.retryFn = func() {
+			if !ch.retryArmed || ch.q.Now() != ch.retryTime {
+				return // stale: superseded by an earlier re-arm
+			}
 			ch.retryArmed = false
 			m.issue(ch)
 		}

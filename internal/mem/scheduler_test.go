@@ -130,3 +130,48 @@ func TestStatsBytesMatchMasks(t *testing.T) {
 		t.Fatalf("bytes read = %d", m.Stats().BytesRead)
 	}
 }
+
+// TestRetryWakesStayBounded is the regression for stale retry wakes. A
+// failed issue that re-arms the channel's retry to an earlier cycle leaves
+// the old wake queued; if that stale wake runs issue again it can start a
+// second retry chain, and on a channel whose queues never empty such chains
+// pile up. Here one channel is kept saturated by a closed loop of
+// outstanding fills to four banks, with write-backs interleaved while every
+// bank is busy; the events dispatched per served request must stay small.
+func TestRetryWakesStayBounded(t *testing.T) {
+	p := DefaultParams()
+	p.Channels, p.Banks = 1, 4
+	p.XORBankHash = false
+	q, m := newTestMemory(t, p)
+	const total, outstanding = 4000, 12
+	issued, served := 0, 0
+	rng := uint64(1)
+	var d [8]uint64
+	var next func(at uint64)
+	next = func(at uint64) {
+		if issued == total {
+			return
+		}
+		issued++
+		rng = rng*6364136223846793005 + 1442695040888963407
+		line := isa.LineID{Base: (rng >> 33) % 64 * isa.TileSize, Orient: isa.Orient(rng >> 63)}
+		if issued%3 == 0 {
+			m.Writeback(at, line, 0xff, d)
+			served++
+		}
+		m.Fill(at, line, func(done uint64, _ *[8]uint64) {
+			served++
+			next(done)
+		})
+	}
+	for i := 0; i < outstanding; i++ {
+		next(uint64(i))
+	}
+	executed := q.Run(0)
+	if issued != total {
+		t.Fatalf("closed loop stopped after %d/%d fills", issued, total)
+	}
+	if perReq := float64(executed) / float64(served); perReq > 4 {
+		t.Fatalf("%d events for %d served requests (%.1f per request): stale retry wakes are rescheduling", executed, served, perReq)
+	}
+}

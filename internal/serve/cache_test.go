@@ -89,3 +89,33 @@ func TestCacheCapSparesInFlight(t *testing.T) {
 		t.Fatalf("slow spec simulated %d times, want 1 (waiter detached by eviction?)", n)
 	}
 }
+
+// TestJobKeepsTechVariantsApart submits one job whose two specs differ only
+// in memory technology. The spec cache and the job checkpoint are keyed by
+// experiments.SpecKey, so both runs must come back with their own results:
+// the ones experiments.Run gives for each spec.
+func TestJobKeepsTechVariantsApart(t *testing.T) {
+	_, ts := testServer(t, Options{StateDir: t.TempDir()})
+	stt := SpecRequest{Bench: "sgemm", Design: "1P2L", N: 16, Scale: 16}
+	reram := stt
+	reram.Tech = "reram"
+
+	var resp SubmitResponse
+	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{stt, reram}}, &resp)
+	st := waitDone(t, ts, resp.ID)
+	if st.State != StateDone || len(st.Runs) != 2 {
+		t.Fatalf("job: state %s, %d runs (err %v)", st.State, len(st.Runs), st.Error)
+	}
+	for i, req := range []SpecRequest{stt, reram} {
+		want, err := experiments.Run(mustSpec(t, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Runs[i].Results; got == nil || got.Cycles != want.Cycles {
+			t.Fatalf("run %d (%s): served %+v, direct run %d cycles", i, req.Tech, got, want.Cycles)
+		}
+	}
+	if st.Runs[0].Results.Cycles == st.Runs[1].Results.Cycles {
+		t.Fatalf("stt and reram both ran %d cycles", st.Runs[0].Results.Cycles)
+	}
+}
