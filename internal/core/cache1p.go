@@ -18,6 +18,7 @@ type line struct {
 	valid      bool
 	dirty      uint8
 	prefetched bool
+	way        int32 // fixed index into Cache1P.lines and Cache1P.tags
 	lastUse    uint64
 	rrpv       uint8 // SRRIP re-reference counter
 	data       [isa.WordsPerLine]uint64
@@ -39,9 +40,15 @@ type Cache1P struct {
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0 (modulo path)
 	sameSet bool   // logical2D && Mapping == SameSet, hoisted off the index path
 	hitLat  uint64 // HitLatency(), computed once
-	sets    [][]line
-	mshr    *mshrFile
-	port    sim.Resource
+
+	// lines holds every way, set s at [s*Assoc, (s+1)*Assoc). tags runs
+	// parallel to it: lineKey(id)|tagValid while the way is valid, else 0,
+	// so find scans one packed word per way instead of the ways themselves.
+	lines []line
+	tags  []uint64
+
+	mshr *mshrFile
+	port sim.Resource
 	// setArb, when non-nil (EnableSetArbitration), replaces the single
 	// global port with one arbiter per set: accesses to different sets
 	// proceed in parallel; same-set accesses contend FIFO (DESIGN §11).
@@ -55,10 +62,11 @@ type Cache1P struct {
 	// invalidation hook in multi-core machines.
 	onWrite func(at uint64, id isa.LineID, mask uint8)
 
-	// orientCount tracks valid resident lines per orientation so the
-	// 8-probe intersecting-line walks exit immediately while the other
-	// orientation has no residents at all (the common phase-local case).
-	orientCount [2]int
+	// tileRes counts valid lines per orientation per tile bucket (the CPU's
+	// tileBucket). Every line an intersecting walk or a snoop can touch lies
+	// in one tile, so an empty bucket ends the walk or snoop before any
+	// probe: a host-side snoop filter over the still-broadcast protocol.
+	tileRes [2][tileBuckets]int32
 
 	useCounter uint64
 	stats      LevelStats
@@ -112,10 +120,10 @@ func NewCache1P(q *sim.EventQueue, p CacheParams, logical2D bool, below Backend)
 	c.mshr = newMSHRFile(p.MSHRs, func(e *mshrEntry) {
 		e.onFill = func(at uint64, data *[isa.WordsPerLine]uint64) { c.fillArrived(at, e, data) }
 	})
-	c.sets = make([][]line, nsets)
-	backing := make([]line, nsets*p.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*p.Assoc : (i+1)*p.Assoc]
+	c.lines = make([]line, nsets*p.Assoc)
+	c.tags = make([]uint64, nsets*p.Assoc)
+	for w := range c.lines {
+		c.lines[w].way = int32(w)
 	}
 	if p.PrefetchDegree > 0 {
 		c.pf = newStridePrefetcher(p.PrefetchDegree)
@@ -176,15 +184,42 @@ func (c *Cache1P) setIndex(id isa.LineID) int {
 	return int(num % uint64(c.nsets))
 }
 
+// tagValid is the valid bit of a packed tag: lineKey uses bit 0 of the
+// word-aligned base for the orientation, leaving bit 1 free.
+const tagValid = 2
+
 // find returns the resident line with the given identity, or nil.
 func (c *Cache1P) find(id isa.LineID) *line {
-	set := c.sets[c.setIndex(id)]
-	for i := range set {
-		if set[i].valid && set[i].id == id {
-			return &set[i]
+	base := c.setIndex(id) * c.p.Assoc
+	key := lineKey(id) | tagValid
+	for w, t := range c.tags[base : base+c.p.Assoc] {
+		if t == key {
+			return &c.lines[base+w]
 		}
 	}
 	return nil
+}
+
+// markValid makes l (holding its new identity) resident in the packed tags
+// and the tile residency counts.
+func (c *Cache1P) markValid(l *line) {
+	l.valid = true
+	c.tags[l.way] = lineKey(l.id) | tagValid
+	c.tileRes[l.id.Orient][tileBucket(l.id.Base)]++
+}
+
+// markInvalid drops l from the packed tags and the tile residency counts.
+func (c *Cache1P) markInvalid(l *line) {
+	l.valid = false
+	c.tags[l.way] = 0
+	c.tileRes[l.id.Orient][tileBucket(l.id.Base)]--
+}
+
+// tileEmpty reports that no valid line lies in id's tile bucket, so no line
+// of id's tile is resident.
+func (c *Cache1P) tileEmpty(id isa.LineID) bool {
+	b := tileBucket(id.Base)
+	return c.tileRes[isa.Row][b] == 0 && c.tileRes[isa.Col][b] == 0
 }
 
 func (c *Cache1P) touch(l *line) {
@@ -213,8 +248,8 @@ func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m *line)) {
 		return
 	}
 	other := id.Orient.Other()
-	if c.orientCount[other] == 0 {
-		return // no resident lines of the other orientation anywhere
+	if c.tileRes[other][tileBucket(id.Base)] == 0 {
+		return // no line of the other orientation in id's tile bucket
 	}
 	tile := id.Tile()
 	for i := uint(0); i < isa.LinesPerTile; i++ {
@@ -258,8 +293,7 @@ func (c *Cache1P) evictDuplicate(at uint64, m *line) {
 		return // testing-only coherence mutation, see CacheParams
 	}
 	c.flushLine(at, m)
-	m.valid = false
-	c.orientCount[m.id.Orient]--
+	c.markInvalid(m)
 	c.stats.DuplicateEvictions++
 	if c.tr != nil {
 		c.traceEv(at, "dup_evict", m.id, 0)
@@ -318,17 +352,17 @@ func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint
 		c.touch(l)
 		return l
 	}
-	set := c.sets[c.setIndex(id)]
-	v := c.victim(set)
+	base := c.setIndex(id) * c.p.Assoc
+	v := c.victim(c.lines[base : base+c.p.Assoc])
 	if v.valid {
 		c.stats.Evictions++
-		c.orientCount[v.id.Orient]--
+		c.markInvalid(v)
 		if v.dirty != 0 {
 			c.writebackLine(at, v)
 		}
 	}
-	*v = line{id: id, valid: true, dirty: dirtyMask, prefetched: prefetched, data: *data}
-	c.orientCount[id.Orient]++
+	*v = line{id: id, way: v.way, dirty: dirtyMask, prefetched: prefetched, data: *data}
+	c.markValid(v)
 	c.touch(v)
 	v.rrpv = srripInsertRRPV
 	return v
@@ -811,6 +845,9 @@ func (c *Cache1P) Peek(id isa.LineID) [isa.WordsPerLine]uint64 {
 // data, both from the same-identity line and from intersecting lines of the
 // other orientation.
 func (c *Cache1P) peekDirty(id isa.LineID, data *[isa.WordsPerLine]uint64) {
+	if c.tileEmpty(id) {
+		return
+	}
 	if l := c.find(id); l != nil {
 		for i := uint(0); i < isa.WordsPerLine; i++ {
 			if l.dirty&(1<<i) != 0 {
@@ -832,8 +869,7 @@ func (c *Cache1P) peekDirty(id isa.LineID, data *[isa.WordsPerLine]uint64) {
 // S/M→Invalid transition).
 func (c *Cache1P) invalidateLine(at uint64, l *line) {
 	c.flushLine(at, l)
-	l.valid = false
-	c.orientCount[l.id.Orient]--
+	c.markInvalid(l)
 }
 
 // snoopFlush implements snooper: a remote core is reading id, so write back
@@ -841,6 +877,9 @@ func (c *Cache1P) invalidateLine(at uint64, l *line) {
 // intersecting line of the other orientation — leaving copies resident but
 // clean (M→S downgrade).
 func (c *Cache1P) snoopFlush(at uint64, id isa.LineID) int {
+	if c.tileEmpty(id) {
+		return 0
+	}
 	n := 0
 	if l := c.find(id); l != nil && l.dirty != 0 {
 		c.flushLine(at, l)
@@ -863,12 +902,15 @@ func (c *Cache1P) snoopFlush(at uint64, id isa.LineID) int {
 // each written word may additionally live in an other-orientation line.
 // Invalidation is line-granular (false sharing).
 func (c *Cache1P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
+	if c.tileEmpty(id) {
+		return 0
+	}
 	n := 0
 	if l := c.find(id); l != nil {
 		c.invalidateLine(at, l)
 		n++
 	}
-	if c.logical2D && c.orientCount[id.Orient.Other()] > 0 {
+	if c.logical2D && c.tileRes[id.Orient.Other()][tileBucket(id.Base)] > 0 {
 		for i := uint(0); i < isa.WordsPerLine; i++ {
 			if mask&(1<<i) == 0 {
 				continue
@@ -885,16 +927,14 @@ func (c *Cache1P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 
 // Occupancy implements Level.
 func (c *Cache1P) Occupancy() (rowLines, colLines int) {
-	for _, set := range c.sets {
-		for i := range set {
-			if !set[i].valid {
-				continue
-			}
-			if set[i].id.Orient == isa.Row {
-				rowLines++
-			} else {
-				colLines++
-			}
+	for i := range c.lines {
+		if !c.lines[i].valid {
+			continue
+		}
+		if c.lines[i].id.Orient == isa.Row {
+			rowLines++
+		} else {
+			colLines++
 		}
 	}
 	return rowLines, colLines
@@ -902,11 +942,9 @@ func (c *Cache1P) Occupancy() (rowLines, colLines int) {
 
 // Drain implements Level: flush all dirty lines below.
 func (c *Cache1P) Drain(at uint64) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty != 0 {
-				c.flushLine(at, &set[i])
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.dirty != 0 {
+			c.flushLine(at, l)
 		}
 	}
 }

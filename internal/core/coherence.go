@@ -146,14 +146,15 @@ type coreGroup struct {
 	cpus []*CPU
 }
 
-// conflicts checks op against every core's in-flight window.
-func (g *coreGroup) conflicts(op isa.Op) bool {
+// conflicts checks op against every core's in-flight window and returns
+// the first in-flight op it conflicts with, or nil.
+func (g *coreGroup) conflicts(op isa.Op) *inflightOp {
 	for _, c := range g.cpus {
-		if c.windowConflicts(op) {
-			return true
+		if e := c.windowConflicts(op); e != nil {
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
 // pumpAll retries every core's issue loop in ascending core-ID order — the

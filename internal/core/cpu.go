@@ -54,6 +54,14 @@ type CPU struct {
 	exhausted  bool
 	pumping    bool
 
+	// blockSlot/blockTok name the in-flight op (on any core) the held op
+	// last conflicted with. While that slot still carries blockTok the op
+	// is in flight and the held op cannot issue, so pump skips the overlap
+	// check; retire zeroes a slot's token, so the first pump after the
+	// blocker retires re-runs it.
+	blockSlot *cpuSlot
+	blockTok  uint64
+
 	// freeSlots pools issue slots; each slot's issue/done callbacks are bound
 	// once at creation, so steady-state issue→complete allocates nothing.
 	freeSlots *cpuSlot
@@ -82,6 +90,9 @@ type CPU struct {
 	ByOrient    [2]uint64
 	Vectors     uint64
 	OrderStalls uint64 // ops delayed by the overlap-ordering rule
+	// windowScans counts scans of this core's in-flight window that the
+	// tile filter let through. Host work only, deliberately unregistered.
+	windowScans uint64
 	finished    func(endCycle uint64)
 	tr          *obs.Tracer
 }
@@ -110,7 +121,7 @@ const tileBuckets = 1024
 func tileBucket(addr uint64) uint64 { return (addr / isa.TileSize) % tileBuckets }
 
 type inflightOp struct {
-	token  uint64
+	slot   *cpuSlot
 	line   isa.LineID
 	addr   uint64 // scalar word address (vector ops use the whole line)
 	store  bool
@@ -123,7 +134,8 @@ type inflightOp struct {
 type cpuSlot struct {
 	c       *CPU
 	op      isa.Op
-	token   uint64
+	token   uint64 // the op's token while in flight, 0 once retired
+	idx     int    // the op's index in c.inflight
 	issueAt uint64
 	next    *cpuSlot
 	issueFn func()
@@ -146,10 +158,9 @@ func (c *CPU) getSlot() *cpuSlot {
 		if s.op.Kind == isa.Load && cc.OnLoad != nil {
 			cc.OnLoad(s.op, value)
 		}
-		tok := s.token
+		cc.retire(s)
 		s.next = cc.freeSlots
 		cc.freeSlots = s
-		cc.retire(tok)
 		if cc.group != nil {
 			// A retiring op may unblock a held op on ANY core; retry all of
 			// them in ascending core-ID order — the deterministic cross-core
@@ -190,26 +201,28 @@ func (c *CPU) Held() bool { return c.heldSet }
 // HeldOp returns the parked op (valid only when Held; stall diagnostics).
 func (c *CPU) HeldOp() isa.Op { return c.heldOp }
 
-// conflicts reports whether op may not issue yet: it overlaps the words of
-// an in-flight op with a store on either side — on this core, or on any
-// core of the group in a multi-core machine (the §IV-B ordering requirement
-// is a property of the memory system, not of one core's window).
-func (c *CPU) conflicts(op isa.Op) bool {
+// conflicts returns an in-flight op that shares a word with op, with a
+// store on either side — on this core, or on any core of the group in a
+// multi-core machine (the §IV-B ordering requirement is a property of the
+// memory system, not of one core's window). nil means op may issue.
+func (c *CPU) conflicts(op isa.Op) *inflightOp {
 	if c.group != nil {
 		return c.group.conflicts(op)
 	}
 	return c.windowConflicts(op)
 }
 
-// windowConflicts checks op against this core's own in-flight window.
-func (c *CPU) windowConflicts(op isa.Op) bool {
+// windowConflicts checks op against this core's own in-flight window and
+// returns the first op it conflicts with, or nil.
+func (c *CPU) windowConflicts(op isa.Op) *inflightOp {
 	isStore := op.Kind == isa.Store
 	// Conflicts need a word overlap, hence the same tile: skip the scan
 	// when op's tile bucket holds nothing op could conflict with (a load
 	// only conflicts with stores).
 	if b := tileBucket(op.Addr); isStore && c.tileOps[b] == 0 || !isStore && c.tileStores[b] == 0 {
-		return false
+		return nil
 	}
+	c.windowScans++
 	id := isa.LineFor(op)
 	for i := range c.inflight {
 		e := &c.inflight[i]
@@ -221,22 +234,22 @@ func (c *CPU) windowConflicts(op isa.Op) bool {
 		}
 		switch {
 		case e.vector && op.Vector:
-			return true // overlapping lines always share a word
+			return e // overlapping lines always share a word
 		case e.vector && !op.Vector:
 			if e.line.Contains(op.Addr) {
-				return true
+				return e
 			}
 		case !e.vector && op.Vector:
 			if id.Contains(e.addr) {
-				return true
+				return e
 			}
 		default:
 			if e.addr == op.Addr {
-				return true
+				return e
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // pump issues ops while window slots are free and ordering allows.
@@ -249,6 +262,9 @@ func (c *CPU) pump() {
 	for len(c.inflight) < c.window && !c.exhausted {
 		var op isa.Op
 		if c.heldSet {
+			if c.blockSlot.token == c.blockTok {
+				break // the blocker is still in flight: the check would fail
+			}
 			op = c.heldOp
 		} else {
 			next, ok := c.trace.Next()
@@ -261,7 +277,8 @@ func (c *CPU) pump() {
 			}
 			op = next
 		}
-		if c.conflicts(op) {
+		if e := c.conflicts(op); e != nil {
+			c.blockSlot, c.blockTok = e.slot, e.slot.token
 			if !c.heldSet {
 				c.OrderStalls++
 				if c.tr.Enabled(obs.CatCPU) {
@@ -271,7 +288,7 @@ func (c *CPU) pump() {
 				c.heldOp = op
 				c.heldSet = true
 			}
-			break // retried when an in-flight op completes
+			break // retried once the blocker retires
 		}
 		c.heldSet = false
 		c.issue(op)
@@ -299,41 +316,39 @@ func (c *CPU) issue(op isa.Op) {
 	issueAt := c.cursor
 
 	c.tokenCounter++
-	tok := c.tokenCounter
 	isStore := op.Kind == isa.Store
 	b := tileBucket(op.Addr)
 	c.tileOps[b]++
 	if isStore {
 		c.tileStores[b]++
 	}
-	c.inflight = append(c.inflight, inflightOp{
-		token: tok, line: isa.LineFor(op), addr: op.Addr,
-		store: isStore, vector: op.Vector,
-	})
-
 	s := c.getSlot()
 	s.op = op
-	s.token = tok
+	s.token = c.tokenCounter
+	s.idx = len(c.inflight)
 	s.issueAt = issueAt
+	c.inflight = append(c.inflight, inflightOp{
+		slot: s, line: isa.LineFor(op), addr: op.Addr,
+		store: isStore, vector: op.Vector,
+	})
 	c.q.Schedule(issueAt, s.issueFn)
 }
 
-func (c *CPU) retire(token uint64) {
-	// Swap-remove: conflicts() is an order-independent predicate over the
-	// window, so in-flight order need not be preserved.
-	for i := range c.inflight {
-		if e := &c.inflight[i]; e.token == token {
-			b := tileBucket(e.line.Base)
-			c.tileOps[b]--
-			if e.store {
-				c.tileStores[b]--
-			}
-			last := len(c.inflight) - 1
-			c.inflight[i] = c.inflight[last]
-			c.inflight = c.inflight[:last]
-			return
-		}
+// retire removes s's op from the window and zeroes s's token.
+func (c *CPU) retire(s *cpuSlot) {
+	e := &c.inflight[s.idx]
+	b := tileBucket(e.line.Base)
+	c.tileOps[b]--
+	if e.store {
+		c.tileStores[b]--
 	}
+	// Swap-remove: whether an op conflicts does not depend on window order,
+	// so in-flight order need not be preserved.
+	last := len(c.inflight) - 1
+	c.inflight[s.idx] = c.inflight[last]
+	c.inflight[s.idx].slot.idx = s.idx
+	c.inflight = c.inflight[:last]
+	s.token = 0
 }
 
 func (c *CPU) maybeFinish() {

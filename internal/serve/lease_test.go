@@ -25,16 +25,21 @@ func leaseStore(t *testing.T) (*store, string) {
 }
 
 // expireLease force-lapses the job's lease on disk (a stand-in for waiting
-// out the wall clock).
+// out the wall clock). It holds the job's claim lock like every store write
+// does, so a concurrent server write cannot land between its load and save
+// and put the old lease back.
 func expireLease(t *testing.T, st *store, id string) {
 	t.Helper()
-	rec, err := st.loadJob(id)
+	err := st.withJobLock(id, func() error {
+		rec, err := st.loadJob(id)
+		if err != nil {
+			return err
+		}
+		rec.LeaseUntilMS = 1
+		return st.saveJob(rec)
+	})
 	if err != nil {
-		t.Fatalf("loadJob: %v", err)
-	}
-	rec.LeaseUntilMS = 1
-	if err := st.saveJob(rec); err != nil {
-		t.Fatalf("saveJob: %v", err)
+		t.Fatalf("expire lease: %v", err)
 	}
 }
 
