@@ -63,24 +63,10 @@ func main() {
 		benchSte    = flag.String("bench-suite", "full", "benchmark suite for -bench-out: quick (PR smoke) or full (baseline)")
 		benchBase   = flag.String("bench-baseline", "", "after -bench-out, compare against this earlier BENCH_<n>.json and print per-scenario speedups")
 		benchStrict = flag.Bool("bench-strict", false, "with -bench-baseline: exit non-zero if any scenario exists in only one baseline (a rename or dropped benchmark would otherwise hide a regression)")
-		shards      = flag.Int("shards", 0, "run every simulation on the sharded memory engine with N epoch-synchronized queues (0 = classic single queue; figure output is bit-identical for every N >= 1)")
-		shardQ      = flag.Uint64("shard-quantum", 0, "epoch window length in cycles (0 = maximum legal lookahead; with -shards)")
-		shardPar    = flag.Bool("shard-parallel", false, "run each epoch's shards on worker goroutines (with -shards)")
 	)
 	flag.Parse()
 	if *scale < 1 {
 		usagef("-scale must be >= 1 (got %d)", *scale)
-	}
-	if *shards < 0 {
-		usagef("-shards must be non-negative (got %d)", *shards)
-	}
-	if *shards == 0 {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "shard-quantum", "shard-parallel":
-				usagef("-%s requires -shards", f.Name)
-			}
-		})
 	}
 	if flag.NArg() > 0 {
 		usagef("unexpected arguments: %v", flag.Args())
@@ -92,10 +78,7 @@ func main() {
 		usagef("-bench-strict requires -bench-baseline")
 	}
 	if *benchOut != "" {
-		if *shardQ != 0 {
-			usagef("-shard-quantum does not apply to -bench-out (the suite always uses the default lookahead)")
-		}
-		runBench(*benchOut, *benchSte, *benchBase, *benchStrict, perf.Options{Shards: *shards, ShardParallel: *shardPar})
+		runBench(*benchOut, *benchSte, *benchBase, *benchStrict)
 		return
 	}
 
@@ -106,9 +89,6 @@ func main() {
 	suite := experiments.NewSuite(*scale, log)
 	suite.Timeout = *timeout
 	suite.MaxCycles = *maxCycles
-	suite.Shards = *shards
-	suite.ShardQuantum = *shardQ
-	suite.ShardParallel = *shardPar
 	if *profile {
 		suite.Profiles = &obs.ProfileLog{}
 		defer func() {
@@ -354,16 +334,12 @@ func main() {
 // internal/perf and the "Benchmarking" section of EXPERIMENTS.md). The
 // scenario set mirrors the root bench_test.go figures; the JSON artifact is
 // the committed BENCH_<n>.json trajectory.
-func runBench(out, suite, baseline string, strict bool, opt perf.Options) {
+func runBench(out, suite, baseline string, strict bool) {
 	// Benchmarking is minutes of silence without progress lines; always
 	// narrate to stderr (stdout stays reserved for the compare table).
 	progress := io.Writer(os.Stderr)
-	if opt.Shards > 0 {
-		fmt.Fprintf(progress, "mdabench: running %s benchmark suite on the sharded engine (shards=%d, parallel=%v)\n", suite, opt.Shards, opt.ShardParallel)
-	} else {
-		fmt.Fprintf(progress, "mdabench: running %s benchmark suite (this takes a while)\n", suite)
-	}
-	b, err := perf.Run(suite, opt, progress)
+	fmt.Fprintf(progress, "mdabench: running %s benchmark suite (this takes a while)\n", suite)
+	b, err := perf.Run(suite, progress)
 	if err != nil {
 		if strings.Contains(err.Error(), "unknown suite") {
 			usagef("%v", err)

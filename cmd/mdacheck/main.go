@@ -13,7 +13,6 @@
 //	mdacheck -n 200 -designs all     # include the ablation designs
 //	mdacheck -n 100 -faults on       # force fault injection everywhere
 //	mdacheck -n 512 -cores 1,2,4     # conformance sweep over core counts
-//	mdacheck -shards 1,2,4 -n 256    # sharded-engine differential sweep
 //	mdacheck -cores 2 -seed 7        # reproduce one multi-core seed
 //	mdacheck -seed 7 -break-coherence  # demo: watch the harness catch a bug
 //	mdacheck -workload kv -n 64 -cores 1,2,4   # request-workload streams
@@ -46,7 +45,6 @@ func main() {
 		breakCoh = flag.Bool("break-coherence", false, "disable duplicate-coherence eviction (verifies the harness catches it)")
 		breakSnp = flag.Bool("break-snoop", false, "disable cross-core snoop invalidation (verifies the multi-core harness catches it)")
 		workload = flag.String("workload", "", "check request-workload streams (kv, htap) instead of the harness's own patterns")
-		shards   = flag.String("shards", "", "comma-separated shard counts: check the sharded engine's bit-identity against Shards=1 instead of reference-model conformance")
 		noShrink = flag.Bool("no-shrink", false, "skip trace minimisation on failure")
 		maxFail  = flag.Int("max-failures", 1, "stop after this many failing seeds")
 		verbose  = flag.Bool("v", false, "print each seed's spec as it runs")
@@ -87,18 +85,6 @@ func main() {
 		usagef("unknown workload %q (valid: %s)", *workload, strings.Join(workloads.RequestNames, ", "))
 	}
 	coreCounts := parseCores(*cores)
-	var shardCounts []int
-	if *shards != "" {
-		shardCounts = parseShards(*shards)
-		if *workload != "" {
-			usagef("-shards and -workload are mutually exclusive")
-		}
-		for _, nc := range coreCounts {
-			if nc > 1 {
-				usagef("-shards uses the single-core differential harness; drop -cores")
-			}
-		}
-	}
 
 	seeds := make([]uint64, 0, *n)
 	if seedSet() {
@@ -138,16 +124,6 @@ sweep:
 				if *verbose {
 					fmt.Printf("mdacheck: cores=1 %v\n", spec)
 				}
-				if shardCounts != nil {
-					if f := check.CheckShardsSpec(spec, shardCounts, opt); f != nil {
-						fmt.Print(f)
-						failures++
-						if failures >= *maxFail {
-							break sweep
-						}
-					}
-					continue
-				}
 				if f := check.CheckSpec(spec, opt); f != nil {
 					fmt.Print(f)
 					failures++
@@ -182,11 +158,6 @@ sweep:
 	if *workload != "" {
 		src = *workload + " workload "
 	}
-	if shardCounts != nil {
-		fmt.Printf("mdacheck: %d seed(s) shard-equivalent across %s (designs: %s, shards: %s, faults: %s)\n",
-			checked, dn, designSetString(opt.Designs), *shards, *faults)
-		return
-	}
 	fmt.Printf("mdacheck: %d %sseed(s) conform across %s (designs: %s, cores: %s, faults: %s)\n",
 		checked, src, dn, designSetString(opt.Designs), *cores, *faults)
 }
@@ -207,26 +178,6 @@ func parseCores(s string) []int {
 	}
 	if len(out) == 0 {
 		usagef("-cores must name at least one core count")
-	}
-	return out
-}
-
-// parseShards parses the -shards list ("1,2,4") into validated counts.
-func parseShards(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			usagef("invalid -shards entry %q (want positive integers, e.g. 1,2,4)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		usagef("-shards must name at least one shard count")
 	}
 	return out
 }

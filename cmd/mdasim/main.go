@@ -10,7 +10,6 @@
 //	mdasim -printconfig -design 1P2L
 //	mdasim -bench sgemm -write-fail-prob 0.01 -fault-seed 7   # NVM faults
 //	mdasim -bench sgemm -timeout 30s -max-cycles 1e9          # watchdog
-//	mdasim -bench sgemm -shards 4 -shard-parallel             # sharded engine
 //	mdasim -bench sobel -trace-out t.json -trace-format chrome  # Perfetto trace
 //	mdasim -bench sobel -metrics-out -                          # metrics JSON
 package main
@@ -60,10 +59,6 @@ func main() {
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for the fault-injection PRNG")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget; expiry aborts with diagnostics (0 = unlimited)")
 		maxCycles = flag.Uint64("max-cycles", 0, "simulated-cycle budget; excess aborts with diagnostics (0 = unlimited)")
-
-		shards   = flag.Int("shards", 0, "shard the memory engine across N epoch-synchronized event queues (0 = classic single queue; results are bit-identical for every N >= 1, but mem/fault trace categories are unavailable)")
-		shardQ   = flag.Uint64("shard-quantum", 0, "epoch window length in cycles (0 = maximum legal lookahead, CAS+critical-word beats; with -shards)")
-		shardPar = flag.Bool("shard-parallel", false, "run each epoch's shards on worker goroutines — wall-clock only, results unchanged (with -shards)")
 
 		traceOut    = flag.String("trace-out", "", "write per-event simulation trace to this file")
 		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl, or chrome (open in Perfetto / chrome://tracing)")
@@ -126,19 +121,6 @@ func main() {
 	if *failProb < 0 || *failProb >= 1 {
 		usagef("-write-fail-prob must be in [0, 1) (got %g)", *failProb)
 	}
-	if *shards < 0 {
-		usagef("-shards must be non-negative (got %d)", *shards)
-	}
-	if *shards == 0 {
-		// The shard knobs modify -shards; set without it they would be
-		// silently ignored.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "shard-quantum", "shard-parallel":
-				usagef("-%s requires -shards", f.Name)
-			}
-		})
-	}
 	if *traceSample < 1 {
 		usagef("-trace-sample must be >= 1 (got %d)", *traceSample)
 	}
@@ -171,9 +153,6 @@ func main() {
 		FaultSeed:         *faultSeed,
 		Timeout:           *timeout,
 		MaxCycles:         *maxCycles,
-		Shards:            *shards,
-		ShardQuantum:      *shardQ,
-		ShardParallel:     *shardPar,
 	}
 	if *workload != "" {
 		spec.Bench = *workload // report/table headers show the workload name
@@ -206,14 +185,6 @@ func main() {
 		cats, err := obs.ParseCategories(*traceCats)
 		if err != nil {
 			usagef("%v", err)
-		}
-		if *shards > 0 && cats&(obs.CatMem|obs.CatFault) != 0 {
-			explicit := false
-			flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "trace-cats" })
-			if explicit {
-				usagef("mem and fault trace categories are unavailable with -shards (their emission order is engine-schedule-dependent)")
-			}
-			cats &^= obs.CatMem | obs.CatFault // default "all", narrowed for sharded runs
 		}
 		f, err := os.Create(*traceOut)
 		if err != nil {

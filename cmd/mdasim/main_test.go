@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,6 +56,33 @@ func TestSmokeTraceOut(t *testing.T) {
 	}
 	if !strings.Contains(res.Stderr, "wrote") {
 		t.Errorf("no trace summary on stderr:\n%s", res.Stderr)
+	}
+
+	// A multi-core, fault-injected kv run emits every trace category.
+	out = filepath.Join(t.TempDir(), "kv.jsonl")
+	res = clitest.Run(t, "mdasim", "-workload", "kv", "-ops", "5000", "-design", "2P2L", "-scale", "16",
+		"-cores", "2", "-read-ratio", "0.5", "-write-fail-prob", "0.3", "-fault-seed", "1", "-trace-out", out)
+	if res.Code != 0 {
+		t.Fatalf("kv: exit %d\nstderr:\n%s", res.Code, res.Stderr)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev struct {
+			Cat string `json:"cat"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("kv: bad trace line %q: %v", line, err)
+		}
+		counts[ev.Cat]++
+	}
+	for _, cat := range []string{"cache", "mshr", "mem", "fault", "cpu"} {
+		if counts[cat] == 0 {
+			t.Errorf("kv: no %s events in the trace (counts %v)", cat, counts)
+		}
 	}
 }
 

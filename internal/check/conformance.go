@@ -86,17 +86,10 @@ type Failure struct {
 	Ops        []isa.Op // shrunk trace (or full trace with Options.NoShrink)
 	Shrunk     bool
 	Violations []Violation
-
-	// Shards is non-empty for shard-equivalence failures: the shard counts
-	// the differential checker compared against Shards=1.
-	Shards []int
 }
 
 // Repro returns the copy-pasteable command that reproduces this failure.
 func (f *Failure) Repro() string {
-	if len(f.Shards) > 0 {
-		return fmt.Sprintf("mdacheck -shards %s -seed %#x", formatShards(f.Shards), f.Spec.Seed)
-	}
 	return fmt.Sprintf("mdacheck -seed %#x", f.Spec.Seed)
 }
 

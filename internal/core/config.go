@@ -188,30 +188,6 @@ type Config struct {
 	// diagnostics instead of spinning forever. The watchdog's cycle budget.
 	MaxCycles uint64
 
-	// Shards, when > 0, runs the memory controller's channels on that many
-	// independent event queues, synchronized with the front (CPU + cache)
-	// queue at epoch barriers every ShardQuantum cycles (DESIGN §13).
-	// Results are bit-identical for every Shards >= 1 — the differential
-	// harness (mdacheck -shards) proves Shards=N ≡ Shards=1. 0 keeps the
-	// classic single-queue engine. Shards may exceed the channel count; the
-	// excess shards stay idle.
-	Shards int
-
-	// ShardQuantum is the epoch window length in cycles for sharded runs.
-	// 0 selects the maximum safe lookahead (mem CAS + CriticalWordBeats);
-	// larger values are rejected because a window longer than the fill
-	// lookahead could deliver a completion into its own window. The
-	// bit-identity guarantee holds across shard counts at a FIXED quantum;
-	// two different quanta may legally reorder completions that tie on the
-	// same delivery cycle across an epoch boundary (epoch order vs
-	// canonical channel order — DESIGN §13).
-	ShardQuantum uint64
-
-	// ShardParallel runs each epoch's shards on separate goroutines. Purely
-	// a wall-clock knob: shards touch only channel-local state, so results
-	// are identical to serial execution (verified under -race).
-	ShardParallel bool
-
 	// Tracer, when non-nil, receives per-component simulation events (cache
 	// hits/misses/fills, MSHR traffic, bank activity, fault retries). The
 	// metrics registry is always built; only event tracing is optional. Set
@@ -413,16 +389,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Cores < 0 {
 		return fmt.Errorf("core: Cores must be non-negative (0 or 1 = single-core)")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be non-negative (0 = single-queue engine)")
-	}
-	if c.Shards > 0 && (c.Tracer.Enabled(obs.CatMem) || c.Tracer.Enabled(obs.CatFault)) {
-		// Memory and fault trace events are emitted while shard queues run
-		// (possibly on shard goroutines, and always outside the front queue's
-		// cycle order), so they cannot be folded into the deterministic trace
-		// stream. All other categories are front-side and remain exact.
-		return fmt.Errorf("core: trace categories mem/fault are unavailable with Shards > 0 (cpu, cache, mshr remain available)")
 	}
 	return c.Mem.Validate()
 }

@@ -43,13 +43,7 @@ func Build(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	q := &sim.EventQueue{}
-	var memory *mem.Memory
-	var err error
-	if cfg.Shards > 0 {
-		memory, err = mem.NewSharded(q, cfg.Mem, cfg.Shards, cfg.ShardQuantum, cfg.ShardParallel)
-	} else {
-		memory, err = mem.New(q, cfg.Mem)
-	}
+	memory, err := mem.New(q, cfg.Mem)
 	if err != nil {
 		return nil, err
 	}
@@ -295,27 +289,21 @@ func (m *Machine) RunTracesCtx(ctx context.Context, traces ...isa.TraceReader) (
 		}
 		m.Q.After(iv, sampler)
 	}
-	if eng := m.Memory.Sharded(); eng != nil {
-		if err := m.runSharded(ctx, eng); err != nil {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, m.stallErr(sim.ErrTimeout, err.Error())
+		}
+		n := m.Q.RunBounded(m.Cfg.MaxCycles, watchdogStride)
+		m.eventsRun += uint64(n)
+		if err := m.Q.Err(); err != nil {
 			return nil, err
 		}
-	} else {
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, m.stallErr(sim.ErrTimeout, err.Error())
-			}
-			n := m.Q.RunBounded(m.Cfg.MaxCycles, watchdogStride)
-			m.eventsRun += uint64(n)
-			if err := m.Q.Err(); err != nil {
-				return nil, err
-			}
-			if n < watchdogStride {
-				break // queue drained or cycle budget reached
-			}
+		if n < watchdogStride {
+			break // queue drained or cycle budget reached
 		}
-		if m.Cfg.MaxCycles != 0 && m.Q.Pending() > 0 {
-			return nil, m.stallErr(sim.ErrCycleLimit, "")
-		}
+	}
+	if m.Cfg.MaxCycles != 0 && m.Q.Pending() > 0 {
+		return nil, m.stallErr(sim.ErrCycleLimit, "")
 	}
 	if m.running {
 		return nil, m.stallErr(sim.ErrDeadlock, "")
@@ -463,10 +451,6 @@ func (m *Machine) DrainAll() {
 	at := m.Q.Now()
 	for _, lvl := range m.Levels {
 		lvl.Drain(at)
-	}
-	if eng := m.Memory.Sharded(); eng != nil {
-		m.settleSharded(eng)
-		return
 	}
 	m.Q.Run(0)
 }

@@ -40,85 +40,6 @@ func CheckDeterminism(ctx context.Context, specs []RunSpec, workers int, opt Swe
 	return DiffRuns(seq, par)
 }
 
-// CheckShardEquivalence is the sharded-engine differential harness: every
-// spec is run once with Shards=1 (the reference) and once per requested
-// shard count, and any divergence — results bit for bit (including float
-// energy and the full metrics snapshot), failure annotation, error taxonomy
-// — is reported with the offending spec and shard count. A nil return is
-// the proof that the shard count is a pure wall-clock knob for these specs.
-//
-// Spec Shards/ShardQuantum/ShardParallel fields are overridden; shard
-// counts <= 1 in counts are checked against the reference too (Shards=1
-// twice must trivially agree, which catches nondeterminism unrelated to
-// sharding). opt's StatePath and Log are cleared as in CheckDeterminism.
-func CheckShardEquivalence(ctx context.Context, specs []RunSpec, counts []int, opt SweepOptions) error {
-	if len(counts) == 0 {
-		return fmt.Errorf("experiments: shard equivalence check needs at least one shard count")
-	}
-	opt.StatePath = ""
-	opt.Log = nil
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
-	withShards := func(n int) []RunSpec {
-		out := make([]RunSpec, len(specs))
-		for i, s := range specs {
-			s.Shards = n
-			s.ShardQuantum = 0
-			s.ShardParallel = false
-			out[i] = s
-		}
-		return out
-	}
-	ref, err := RunSweep(ctx, withShards(1), opt)
-	if err != nil {
-		return fmt.Errorf("experiments: shard equivalence: reference sweep (shards=1): %w", err)
-	}
-	for _, n := range counts {
-		if n < 1 {
-			return fmt.Errorf("experiments: shard equivalence: invalid shard count %d", n)
-		}
-		got, err := RunSweep(ctx, withShards(n), opt)
-		if err != nil {
-			return fmt.Errorf("experiments: shard equivalence: sweep (shards=%d): %w", n, err)
-		}
-		if err := diffShardRuns(ref, got, n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// diffShardRuns compares a Shards=1 reference sweep against a Shards=n
-// sweep. Keys differ by construction (the spec string embeds the shard
-// count), so the comparison covers outcome only: error annotations and
-// bit-for-bit results.
-func diffShardRuns(ref, got []SweepRun, n int) error {
-	if len(ref) != len(got) {
-		return fmt.Errorf("experiments: shards=%d sweep has %d runs, reference has %d", n, len(got), len(ref))
-	}
-	for i := range ref {
-		x, y := ref[i], got[i]
-		switch {
-		case x.Err != y.Err:
-			return fmt.Errorf("experiments: shards=%d: run %d (%v): error %q vs reference %q", n, i, y.Spec, y.Err, x.Err)
-		case x.ErrCode != y.ErrCode:
-			return fmt.Errorf("experiments: shards=%d: run %d (%v): error code %q vs reference %q", n, i, y.Spec, y.ErrCode, x.ErrCode)
-		case (x.Results == nil) != (y.Results == nil):
-			return fmt.Errorf("experiments: shards=%d: run %d (%v): results presence %v vs reference %v",
-				n, i, y.Spec, y.Results != nil, x.Results != nil)
-		}
-		if x.Results == nil {
-			continue
-		}
-		if !reflect.DeepEqual(x.Results, y.Results) {
-			return fmt.Errorf("experiments: shards=%d: run %d (%v): results diverge from Shards=1: %s",
-				n, i, y.Spec, diffResults(x.Results, y.Results))
-		}
-	}
-	return nil
-}
-
 // DiffRuns compares two sweep outcomes and returns nil when they are deeply
 // equal, or an error naming the first divergence. Attempts and Resumed are
 // compared too: a deterministic sweep retries and resumes identically.

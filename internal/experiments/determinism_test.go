@@ -207,60 +207,3 @@ func BenchmarkSweep(b *testing.B) {
 		})
 	}
 }
-
-// shardEqSpecs is the shard-equivalence matrix the ISSUE names: designs ×
-// cores ∈ {1, 2, 4} × workload family (compiled kernel, streaming kv,
-// streaming htap), plus a fault-injected point (per-channel RNG reseeding)
-// and a deterministic failure (error annotations must agree too).
-func shardEqSpecs() []RunSpec {
-	var specs []RunSpec
-	for _, d := range []core.Design{core.D0Baseline, core.D1DiffSet, core.D2Sparse} {
-		specs = append(specs, testSpec("sgemm", d))
-	}
-	for _, cores := range []int{2, 4} {
-		s := testSpec("sobel", core.D1SameSet)
-		s.Cores = cores
-		specs = append(specs, s)
-	}
-	for _, workload := range []string{"kv", "htap"} {
-		for _, cores := range []int{1, 2} {
-			s := requestSpec(workload, cores)
-			s.Ops = 5_000
-			specs = append(specs, s)
-		}
-	}
-	specs = append(specs, faultSpec("sgemm", core.D1DiffSet, 777))
-	f := testSpec("strmm", core.D1SameSet)
-	f.MaxCycles = 100
-	specs = append(specs, f)
-	return specs
-}
-
-// TestShardEquivalenceMatrix is the experiments-level differential
-// acceptance: Shards ∈ {1, 2, 4} (plus 7, exercising empty shards) over the
-// full design × cores × workload matrix must agree bit for bit with the
-// Shards=1 reference — results, metrics snapshots, failure annotations.
-func TestShardEquivalenceMatrix(t *testing.T) {
-	err := CheckShardEquivalence(context.Background(), shardEqSpecs(), []int{1, 2, 4, 7},
-		SweepOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardEquivalenceRejectsDivergence proves the harness detects
-// differences rather than rubber-stamping.
-func TestShardEquivalenceRejectsDivergence(t *testing.T) {
-	a := []SweepRun{{Results: &core.Results{Cycles: 1}}}
-	b := []SweepRun{{Results: &core.Results{Cycles: 2}}}
-	if err := diffShardRuns(a, b, 2); err == nil {
-		t.Fatal("diverging cycles not detected")
-	}
-	b = []SweepRun{{Err: "boom"}}
-	if err := diffShardRuns(a, b, 2); err == nil {
-		t.Fatal("diverging error annotations not detected")
-	}
-	if err := diffShardRuns(a, a[:0], 2); err == nil {
-		t.Fatal("length mismatch not detected")
-	}
-}

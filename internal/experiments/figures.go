@@ -33,14 +33,6 @@ type Suite struct {
 	MaxCycles uint64
 	Timeout   time.Duration
 
-	// Shards, ShardQuantum and ShardParallel select the sharded memory
-	// engine for every simulation the suite launches (see RunSpec). The
-	// engine is bit-identical across shard counts, so figure output is
-	// unchanged for any Shards >= 1; 0 keeps the classic single queue.
-	Shards        int
-	ShardQuantum  uint64
-	ShardParallel bool
-
 	// Profiles, when non-nil, collects a phase profile for every
 	// simulation the suite actually runs (checkpoint-resumed and
 	// cache-shared runs contribute nothing — they cost no simulation
@@ -98,9 +90,6 @@ func (s *Suite) run(spec RunSpec) (*core.Results, error) {
 	spec.Scale = s.Scale
 	spec.MaxCycles = s.MaxCycles
 	spec.Timeout = s.Timeout
-	spec.Shards = s.Shards
-	spec.ShardQuantum = s.ShardQuantum
-	spec.ShardParallel = s.ShardParallel
 	for {
 		s.mu.Lock()
 		if s.cache == nil {

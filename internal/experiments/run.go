@@ -110,52 +110,22 @@ type RunSpec struct {
 	// WorkloadSeed seeds request generation; a fixed seed reproduces
 	// bit-identical streams.
 	WorkloadSeed uint64
-
-	// Shards partitions the memory controller's channels across
-	// independently clocked event queues that synchronize at epoch barriers
-	// (see core.Config.Shards). 0 keeps the classic single-queue engine;
-	// any N >= 1 selects the sharded engine, whose results are bit-identical
-	// for every N — the determinism harness verifies exactly that.
-	Shards int
-
-	// ShardQuantum overrides the epoch length in cycles (0 = the maximum
-	// legal lookahead, CAS + CriticalWordBeats). Shard-count invariance
-	// holds at any fixed quantum; see core.Config.ShardQuantum for the
-	// cross-quantum tie-break caveat.
-	ShardQuantum uint64
-
-	// ShardParallel runs the shards of each epoch on worker goroutines —
-	// a wall-clock knob only, results unchanged.
-	ShardParallel bool
 }
 
 func (s RunSpec) String() string {
-	var base string
 	switch {
 	case s.Workload != "":
 		cores := s.Cores
 		if cores < 1 {
 			cores = 1
 		}
-		base = fmt.Sprintf("%s/N=%d/%v/LLC=%dKB/cores=%d/ops=%d/zipf=%g/rr=%g/clients=%d",
+		return fmt.Sprintf("%s/N=%d/%v/LLC=%dKB/cores=%d/ops=%d/zipf=%g/rr=%g/clients=%d",
 			s.Workload, s.N, s.Design, s.LLCBytes/1024, cores, s.Ops, s.Zipf, s.ReadRatio, s.Clients)
 	case s.Cores > 1:
-		base = fmt.Sprintf("%s/N=%d/%v/LLC=%dKB/cores=%d", s.Bench, s.N, s.Design, s.LLCBytes/1024, s.Cores)
+		return fmt.Sprintf("%s/N=%d/%v/LLC=%dKB/cores=%d", s.Bench, s.N, s.Design, s.LLCBytes/1024, s.Cores)
 	default:
-		base = fmt.Sprintf("%s/N=%d/%v/LLC=%dKB", s.Bench, s.N, s.Design, s.LLCBytes/1024)
+		return fmt.Sprintf("%s/N=%d/%v/LLC=%dKB", s.Bench, s.N, s.Design, s.LLCBytes/1024)
 	}
-	// The shard segment appears only when sharding is requested, so the
-	// checkpoint keys of existing single-queue sweeps stay stable.
-	if s.Shards > 0 {
-		base += fmt.Sprintf("/shards=%d", s.Shards)
-		if s.ShardQuantum > 0 {
-			base += fmt.Sprintf("@q%d", s.ShardQuantum)
-		}
-		if s.ShardParallel {
-			base += "+par"
-		}
-	}
-	return base
 }
 
 // Config materialises the machine configuration for the spec.
@@ -200,9 +170,6 @@ func (s RunSpec) Config() (core.Config, error) {
 	cfg.OccupancySampleInterval = s.OccupancyInterval
 	cfg.MaxCycles = s.MaxCycles
 	cfg.Cores = s.Cores
-	cfg.Shards = s.Shards
-	cfg.ShardQuantum = s.ShardQuantum
-	cfg.ShardParallel = s.ShardParallel
 	return cfg, cfg.Validate()
 }
 

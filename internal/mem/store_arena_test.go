@@ -100,46 +100,35 @@ func TestArenaStoreHeapStaysFlat(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// TestShardedSteadyStateZeroAlloc pins that the sharded dispatch path —
-// request pool, shard inboxes, epoch windows, merge buffer, delivery table —
-// allocates nothing once warm.
-func TestShardedSteadyStateZeroAlloc(t *testing.T) {
+// TestSteadyStateZeroAlloc pins that the memory controller's dispatch path
+// (request pool, pre-bound enqueue and completion closures, channel queues,
+// retry wakes) allocates nothing once warm.
+func TestSteadyStateZeroAlloc(t *testing.T) {
 	q := &sim.EventQueue{}
-	m, err := NewSharded(q, DefaultParams(), 2, 0, false)
+	m, err := New(q, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := m.Sharded()
 	done := func(uint64, *[isa.WordsPerLine]uint64) {}
+	var data [isa.WordsPerLine]uint64
 	lines := make([]isa.LineID, 16)
 	for i := range lines {
-		lines[i] = isa.LineID{Base: uint64(i) * isa.TileSize, Orient: isa.Row}
+		lines[i] = isa.LineID{Base: uint64(i) * isa.TileSize, Orient: isa.Orient(i % 2)}
 	}
 	step := func() {
 		at := q.Now()
-		for _, ln := range lines {
+		for i, ln := range lines {
 			m.Fill(at, ln, done)
-		}
-		for {
-			tF, okF := q.NextAt()
-			tS, okS := eng.NextAt()
-			if !okF && !okS {
-				break
+			if i%4 == 3 {
+				m.Writeback(at, ln, 0x0f, data)
 			}
-			tt := tF
-			if !okF || (okS && tS < tF) {
-				tt = tS
-			}
-			end := tt + eng.Quantum() - 1
-			q.RunWindow(end)
-			eng.RunEpoch(end)
-			eng.Deliver()
 		}
+		q.Run(0)
 	}
 	for i := 0; i < 8; i++ {
-		step() // warm pools, wheel slabs, inboxes, merge buffer
+		step() // warm the request pool and the queue's slot pool and wheel slabs
 	}
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {
-		t.Fatalf("sharded steady state allocates %.2f allocs/run, want 0", avg)
+		t.Fatalf("steady state allocates %.2f allocs/run, want 0", avg)
 	}
 }

@@ -33,7 +33,6 @@ type Registry struct {
 	floats   map[string]*float64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	refresh  []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -110,18 +109,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// OnSnapshot registers fn to run at the start of every Snapshot call, in
-// registration order. Components whose registered storage is a merged view
-// of finer-grained accumulators (e.g. per-channel memory stats) use it to
-// refresh the view before the registry reads it; fn must be cheap and
-// idempotent.
-func (r *Registry) OnSnapshot(fn func()) {
-	if r == nil {
-		return
-	}
-	r.refresh = append(r.refresh, fn)
-}
-
 // Gauge is a settable value. Not concurrency-safe: a gauge belongs to one
 // machine, which is single-goroutine by construction.
 type Gauge struct{ v int64 }
@@ -180,35 +167,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)]++
 }
 
-// Reset clears the histogram to its zero state. Nil-safe.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	*h = Histogram{}
-}
-
-// Absorb merges o's observations into h. Merging is order-free (counts and
-// sums add, min/max combine), so absorbing per-shard histograms in a fixed
-// order yields a bit-identical result no matter how observations were
-// partitioned. Nil-safe on both sides.
-func (h *Histogram) Absorb(o *Histogram) {
-	if h == nil || o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range o.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -259,9 +217,6 @@ func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
-	}
-	for _, fn := range r.refresh {
-		fn()
 	}
 	if len(r.counters) > 0 {
 		s.Counters = make(map[string]uint64, len(r.counters))

@@ -46,19 +46,6 @@ type Scenario struct {
 	Fn    func(b *testing.B)
 }
 
-// Options selects the engine variant every simulation scenario runs on.
-// Scenario names are independent of the options, so Compare lines up a
-// sharded baseline against a single-queue one directly; the Baseline records
-// which variant produced it.
-type Options struct {
-	// Shards selects the sharded memory engine (0 = classic single queue).
-	// Results are bit-identical for any Shards >= 1, so only wall-clock
-	// numbers move.
-	Shards int
-	// ShardParallel runs each epoch's shards on worker goroutines.
-	ShardParallel bool
-}
-
 // Result is one scenario's measurement.
 type Result struct {
 	Name        string             `json:"name"`
@@ -71,28 +58,22 @@ type Result struct {
 
 // Baseline is the committed BENCH_<n>.json artifact.
 type Baseline struct {
-	Schema     int    `json:"schema"`
-	Suite      string `json:"suite"` // "quick" or "full"
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	RecordedAt string `json:"recorded_at"`
-	// Shards and ShardParallel record the engine variant the simulation
-	// scenarios ran on (see Options); omitted for classic single-queue runs.
-	Shards        int      `json:"shards,omitempty"`
-	ShardParallel bool     `json:"shard_parallel,omitempty"`
-	Results       []Result `json:"results"`
+	Schema     int      `json:"schema"`
+	Suite      string   `json:"suite"` // "quick" or "full"
+	GoVersion  string   `json:"go_version"`
+	GOOS       string   `json:"goos"`
+	GOARCH     string   `json:"goarch"`
+	RecordedAt string   `json:"recorded_at"`
+	Results    []Result `json:"results"`
 	// GoBench holds the same measurements as standard `go test -bench`
 	// output lines, so `jq -r '.gobench[]' BENCH_1.json > old.txt` feeds
 	// benchstat directly.
 	GoBench []string `json:"gobench"`
 }
 
-func runSpec(b *testing.B, spec experiments.RunSpec, opt Options) *core.Results {
+func runSpec(b *testing.B, spec experiments.RunSpec) *core.Results {
 	b.Helper()
 	spec.Scale = Scale
-	spec.Shards = opt.Shards
-	spec.ShardParallel = opt.ShardParallel
 	res, err := experiments.Run(spec)
 	if err != nil {
 		b.Fatal(err)
@@ -102,30 +83,29 @@ func runSpec(b *testing.B, spec experiments.RunSpec, opt Options) *core.Results 
 
 // Scenarios returns the suite in fixed order. Names match the root
 // bench_test.go benchmarks (minus the "Benchmark" prefix) so benchstat can
-// line the two sources up; opt selects the engine variant without renaming,
-// so sharded and single-queue baselines compare scenario-for-scenario.
-func Scenarios(opt Options) []Scenario {
+// line the two sources up.
+func Scenarios() []Scenario {
 	var s []Scenario
 	s = append(s, Scenario{Name: "Table1Config", Quick: true, Fn: benchTable1})
 	for _, bench := range subset {
 		s = append(s, Scenario{Name: "Fig10AccessMix/" + bench, Quick: true, Fn: benchFig10(bench)})
 	}
 	for _, bench := range subset {
-		s = append(s, Scenario{Name: "Fig11L1HitRate/" + bench, Quick: bench == "htap2", Fn: benchFig11(bench, opt)})
+		s = append(s, Scenario{Name: "Fig11L1HitRate/" + bench, Quick: bench == "htap2", Fn: benchFig11(bench)})
 	}
 	for _, d := range []core.Design{core.D1DiffSet, core.D1SameSet, core.D2Sparse} {
 		for _, llcMB := range []int{1, 2} {
 			d, llc := d, llcMB*core.MB
 			name := fmt.Sprintf("Fig12NormalizedCycles/%v/LLC%dMB", d, llcMB)
-			s = append(s, Scenario{Name: name, Fn: benchFig12(d, llc, opt)})
+			s = append(s, Scenario{Name: name, Fn: benchFig12(d, llc)})
 		}
 	}
 	for _, d := range []core.Design{core.D1DiffSet, core.D2Sparse} {
 		d := d
-		s = append(s, Scenario{Name: "Fig13CacheResident/" + d.String(), Fn: benchFig13(d, opt)})
+		s = append(s, Scenario{Name: "Fig13CacheResident/" + d.String(), Fn: benchFig13(d)})
 	}
-	s = append(s, Scenario{Name: "SimulatorThroughput", Quick: true, Fn: benchThroughput(opt)})
-	s = append(s, Scenario{Name: "RequestThroughput/kv", Quick: true, Fn: benchRequestThroughput(opt)})
+	s = append(s, Scenario{Name: "SimulatorThroughput", Quick: true, Fn: benchThroughput})
+	s = append(s, Scenario{Name: "RequestThroughput/kv", Quick: true, Fn: benchRequestThroughput})
 	return s
 }
 
@@ -172,26 +152,26 @@ func mixOf(bench string) (compiler.Mix, error) {
 	return prog.MeasureMix(), nil
 }
 
-func benchFig11(bench string, opt Options) func(b *testing.B) {
+func benchFig11(bench string) func(b *testing.B) {
 	return func(b *testing.B) {
 		var ratio float64
 		for i := 0; i < b.N; i++ {
-			base := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: core.D0Baseline, LLCBytes: core.MB}, opt)
-			r := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: core.D1DiffSet, LLCBytes: core.MB}, opt)
+			base := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: core.D0Baseline, LLCBytes: core.MB})
+			r := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: core.D1DiffSet, LLCBytes: core.MB})
 			ratio = r.L1().HitRate() / base.L1().HitRate()
 		}
 		b.ReportMetric(ratio, "L1hit/base")
 	}
 }
 
-func benchFig12(d core.Design, llc int, opt Options) func(b *testing.B) {
+func benchFig12(d core.Design, llc int) func(b *testing.B) {
 	return func(b *testing.B) {
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			sum = 0
 			for _, bench := range subset {
-				base := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: core.D0Baseline, LLCBytes: llc}, opt)
-				r := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: d, LLCBytes: llc}, opt)
+				base := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: core.D0Baseline, LLCBytes: llc})
+				r := runSpec(b, experiments.RunSpec{Bench: bench, N: N, Design: d, LLCBytes: llc})
 				sum += float64(r.Cycles) / float64(base.Cycles)
 			}
 		}
@@ -199,14 +179,14 @@ func benchFig12(d core.Design, llc int, opt Options) func(b *testing.B) {
 	}
 }
 
-func benchFig13(d core.Design, opt Options) func(b *testing.B) {
+func benchFig13(d core.Design) func(b *testing.B) {
 	return func(b *testing.B) {
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			sum = 0
 			for _, bench := range subset {
-				base := runSpec(b, experiments.RunSpec{Bench: bench, N: Small, Design: core.D0Baseline, LLCBytes: 2 * core.MB, TwoLevel: true}, opt)
-				r := runSpec(b, experiments.RunSpec{Bench: bench, N: Small, Design: d, LLCBytes: 2 * core.MB, TwoLevel: true}, opt)
+				base := runSpec(b, experiments.RunSpec{Bench: bench, N: Small, Design: core.D0Baseline, LLCBytes: 2 * core.MB, TwoLevel: true})
+				r := runSpec(b, experiments.RunSpec{Bench: bench, N: Small, Design: d, LLCBytes: 2 * core.MB, TwoLevel: true})
 				sum += float64(r.Cycles) / float64(base.Cycles)
 			}
 		}
@@ -214,55 +194,48 @@ func benchFig13(d core.Design, opt Options) func(b *testing.B) {
 	}
 }
 
-func benchThroughput(opt Options) func(b *testing.B) {
-	return func(b *testing.B) {
-		var ops uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := runSpec(b, experiments.RunSpec{Bench: "strmm", N: N, Design: core.D1DiffSet, LLCBytes: core.MB}, opt)
-			ops += r.Ops
-		}
-		b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
+func benchThroughput(b *testing.B) {
+	var ops uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := runSpec(b, experiments.RunSpec{Bench: "strmm", N: N, Design: core.D1DiffSet, LLCBytes: core.MB})
+		ops += r.Ops
 	}
+	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
 }
 
 // benchRequestThroughput measures the request-driven path end to end: the
 // streaming generator, the per-core backpressure protocol, and a four-core
 // shared hierarchy under a Zipf-skewed KV load.
-func benchRequestThroughput(opt Options) func(b *testing.B) {
-	return func(b *testing.B) {
-		var ops uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := runSpec(b, experiments.RunSpec{
-				Workload: "kv", N: N, Design: core.D2Sparse, LLCBytes: core.MB,
-				Cores: 4, Clients: 16, Ops: 100_000, Zipf: 0.99, ReadRatio: 0.9,
-				WorkloadSeed: 1,
-			}, opt)
-			ops += r.Ops
-		}
-		b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
+func benchRequestThroughput(b *testing.B) {
+	var ops uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := runSpec(b, experiments.RunSpec{
+			Workload: "kv", N: N, Design: core.D2Sparse, LLCBytes: core.MB,
+			Cores: 4, Clients: 16, Ops: 100_000, Zipf: 0.99, ReadRatio: 0.9,
+			WorkloadSeed: 1,
+		})
+		ops += r.Ops
 	}
+	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
 }
 
-// Run measures the named suite ("quick" or "full") on the engine variant opt
-// selects and returns the baseline. log, when non-nil, receives one progress
-// line per scenario.
-func Run(suite string, opt Options, log io.Writer) (*Baseline, error) {
+// Run measures the named suite ("quick" or "full") and returns the baseline.
+// log, when non-nil, receives one progress line per scenario.
+func Run(suite string, log io.Writer) (*Baseline, error) {
 	if suite != "quick" && suite != "full" {
 		return nil, fmt.Errorf("perf: unknown suite %q (valid: quick, full)", suite)
 	}
 	base := &Baseline{
-		Schema:        1,
-		Suite:         suite,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		RecordedAt:    time.Now().UTC().Format(time.RFC3339),
-		Shards:        opt.Shards,
-		ShardParallel: opt.ShardParallel,
+		Schema:     1,
+		Suite:      suite,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		RecordedAt: time.Now().UTC().Format(time.RFC3339),
 	}
-	for _, sc := range Scenarios(opt) {
+	for _, sc := range Scenarios() {
 		if suite == "quick" && !sc.Quick {
 			continue
 		}

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -82,5 +83,41 @@ func TestCompareDisjointBaselines(t *testing.T) {
 	}
 	if len(skipped) != 2 {
 		t.Fatalf("skipped = %v, want both scenarios", skipped)
+	}
+}
+
+// TestCommittedBaselinesLoad: every BENCH_*.json at the repository root
+// still loads, including BENCH_3, recorded on the since-deleted sharded
+// engine with a shards field the Baseline no longer carries. CI compares
+// against BENCH_5, so BENCH_4 → BENCH_5 must line up scenario for scenario.
+func TestCommittedBaselinesLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 5 {
+		t.Fatalf("found %d committed baselines (%v), want BENCH_1..BENCH_5", len(paths), paths)
+	}
+	loaded := map[string]*Baseline{}
+	for _, p := range paths {
+		b, err := LoadBaseline(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if len(b.Results) == 0 {
+			t.Fatalf("%s: no results", p)
+		}
+		loaded[filepath.Base(p)] = b
+	}
+	old, new := loaded["BENCH_4.json"], loaded["BENCH_5.json"]
+	if old == nil || new == nil {
+		t.Fatal("BENCH_4.json or BENCH_5.json missing")
+	}
+	deltas, _, skipped := Compare(old, new)
+	if len(skipped) != 0 {
+		t.Fatalf("Compare(BENCH_4, BENCH_5) skipped %v", skipped)
+	}
+	if len(deltas) != len(new.Results) {
+		t.Fatalf("Compare(BENCH_4, BENCH_5) matched %d of %d scenarios", len(deltas), len(new.Results))
 	}
 }

@@ -380,31 +380,6 @@ func (q *EventQueue) After(delay uint64, fn func()) {
 // Pending reports the number of scheduled-but-unrun events.
 func (q *EventQueue) Pending() int { return q.pending }
 
-// NextAt reports the cycle of the earliest pending event without running it.
-// The second result is false when the queue is empty. Epoch drivers use it to
-// skip idle windows instead of sweeping the clock through them.
-func (q *EventQueue) NextAt() (uint64, bool) {
-	if q.pending == 0 {
-		return 0, false
-	}
-	var tW uint64
-	okW := false
-	if q.buckets != nil {
-		b := q.now & wheelMask
-		if int(q.bheads[b]) < len(q.buckets[b]) {
-			tW, okW = q.now, true
-		} else {
-			tW, okW = q.scanWheel()
-		}
-	}
-	if len(q.of) > 0 {
-		if tO := q.of[0].at; !okW || tO < tW {
-			return tO, true
-		}
-	}
-	return tW, okW
-}
-
 // dispatch runs the callback in slot idx at the already-advanced Now.
 // evFn/evArg free the slot before the call (the callback's own schedules
 // may then reuse it immediately); evData frees after, because the callback
@@ -448,14 +423,6 @@ func (q *EventQueue) Step() bool {
 // 0 means no limit.
 func (q *EventQueue) Run(cycleLimit uint64) (executed uint64) {
 	return q.run(cycleLimit, cycleLimit != 0, 0)
-}
-
-// RunWindow executes every pending event scheduled at or before end
-// (inclusive) and returns the count executed. Unlike Run, a window ending at
-// cycle 0 is expressible — the epoch driver's very first window may be [0, 0]
-// under a one-cycle quantum.
-func (q *EventQueue) RunWindow(end uint64) (executed uint64) {
-	return q.run(end, true, 0)
 }
 
 // RunBounded is Run with an additional event budget: it also stops after

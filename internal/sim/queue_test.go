@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -179,21 +180,84 @@ func TestFarFutureDispatchTime(t *testing.T) {
 	}
 }
 
-// TestFarFutureWindowedDispatch repeats the horizon pin under RunWindow,
-// the epoch driver's entry point: a window ending exactly at the far
-// event's cycle must run it; a window ending one cycle short must not.
+// TestFarFutureWindowedDispatch repeats the horizon pin under a cycle
+// limit: a limit ending exactly at the far event's cycle must run it; a
+// limit ending one cycle short must not.
 func TestFarFutureWindowedDispatch(t *testing.T) {
 	q := &EventQueue{}
 	at := uint64(wheelSize + 50)
 	ran := false
 	q.Schedule(at, func() { ran = true })
-	if n := q.RunWindow(at - 1); n != 0 || ran {
-		t.Fatalf("window [0, at-1] ran the far event (n=%d ran=%v)", n, ran)
+	if n := q.Run(at - 1); n != 0 || ran {
+		t.Fatalf("Run(at-1) ran the far event (n=%d ran=%v)", n, ran)
 	}
-	if n := q.RunWindow(at); n != 1 || !ran {
-		t.Fatalf("window [0, at] missed the far event (n=%d ran=%v)", n, ran)
+	if n := q.RunBounded(at, 0); n != 1 || !ran {
+		t.Fatalf("RunBounded(at, 0) missed the far event (n=%d ran=%v)", n, ran)
 	}
 	if q.Now() != at {
 		t.Fatalf("Now() = %d after far dispatch, want %d", q.Now(), at)
+	}
+}
+
+// TestBatchedDispatchOrder floods single cycles with events that reschedule
+// into the same and nearby cycles, and checks Run's batched dispatch executes
+// the exact order Step produces.
+func TestBatchedDispatchOrder(t *testing.T) {
+	build := func() (*EventQueue, *[]int) {
+		q := &EventQueue{}
+		order := &[]int{}
+		id := 0
+		var add func(at uint64, fanout int)
+		add = func(at uint64, fanout int) {
+			me := id
+			id++
+			q.Schedule(at, func() {
+				*order = append(*order, me)
+				for i := 0; i < fanout; i++ {
+					// Same-cycle, next-cycle, and horizon-crossing reschedules.
+					switch i % 3 {
+					case 0:
+						add(q.Now(), 0)
+					case 1:
+						add(q.Now()+1, 0)
+					default:
+						add(q.Now()+wheelSize+3, 0)
+					}
+				}
+			})
+		}
+		for c := uint64(0); c < 4; c++ {
+			for i := 0; i < 5; i++ {
+				add(c, i%4)
+			}
+		}
+		return q, order
+	}
+
+	qa, oa := build()
+	for qa.Step() {
+	}
+	qb, ob := build()
+	qb.Run(0)
+	if !reflect.DeepEqual(*oa, *ob) {
+		t.Fatalf("batched Run order diverges from Step order:\nstep: %v\nrun:  %v", *oa, *ob)
+	}
+	if len(*oa) == 0 {
+		t.Fatal("no events ran")
+	}
+}
+
+// TestRunBoundedEventBudgetWithBatch checks maxEvents is honored mid-batch.
+func TestRunBoundedEventBudgetWithBatch(t *testing.T) {
+	var q EventQueue
+	n := 0
+	for i := 0; i < 10; i++ {
+		q.Schedule(3, func() { n++ })
+	}
+	if got := q.RunBounded(0, 4); got != 4 || n != 4 {
+		t.Fatalf("RunBounded(0,4) executed %d (n=%d), want 4", got, n)
+	}
+	if got := q.RunBounded(0, 0); got != 6 || n != 10 {
+		t.Fatalf("remainder executed %d (n=%d), want 6, 10", got, n)
 	}
 }
