@@ -93,7 +93,9 @@ type gen struct {
 	p       *Program
 	emit    func(isa.Op) bool
 	stopped bool
-	pending uint32 // compute cycles to attach to the next op
+	pending uint32   // compute cycles to attach to the next op
+	env     []int    // loop index values, one slot per loop of the current nest
+	code    nestCode // the current nest, compiled; its storage is reused
 }
 
 func (g *gen) out(op isa.Op) {
@@ -112,134 +114,221 @@ func (g *gen) run() {
 		if g.stopped {
 			return
 		}
-		g.nest(&g.p.Kernel.Nests[ni])
+		g.code.compile(&g.p.Kernel.Nests[ni], g.p.Target.Logical2D)
+		g.nest(&g.code)
 	}
 }
 
-func (g *gen) nest(n *Nest) {
-	env := make(map[string]int, len(n.Loops))
-	if len(n.Loops) == 0 {
+// affine is an Expr resolved against a nest's loops: coefficients index the
+// env slice by loop depth instead of naming indices.
+type affine struct {
+	terms []term
+	cnst  int
+}
+
+type term struct{ slot, coeff int }
+
+func (a *affine) eval(env []int) int {
+	v := a.cnst
+	for _, t := range a.terms {
+		v += t.coeff * env[t.slot]
+	}
+	return v
+}
+
+// nestCode is a nest compiled for trace generation: bounds and subscripts
+// resolved to slots, and each statement's vectorization plan made once.
+type nestCode struct {
+	bounds [][2]affine // [lo, hi) per loop depth
+	stmts  []stmtCode
+
+	// Backing storage for the stmts' refs and the affines' terms, reused
+	// from nest to nest so compiling a small nest allocates nothing.
+	refs      []refCode
+	terms     []term
+	enclosing []string
+}
+
+type stmtCode struct {
+	compute   uint32
+	vectorize bool
+	refs      []refCode
+}
+
+type refCode struct {
+	array    *Array
+	row, col affine
+	pc       uint32
+	kind     isa.Kind
+	a        analysis
+}
+
+// compile resolves n against its own loop indices and plans each statement
+// for the innermost loop, replacing c's previous contents. Straight-line
+// nests get row-preferring invariant refs (analyzeOrientStatic).
+func (c *nestCode) compile(n *Nest, logical2D bool) {
+	c.bounds, c.stmts, c.refs, c.terms = c.bounds[:0], c.stmts[:0], c.refs[:0], c.terms[:0]
+	c.enclosing = c.enclosing[:0]
+	for _, l := range n.Loops {
+		c.enclosing = append(c.enclosing, l.Index)
+		c.bounds = append(c.bounds, [2]affine{c.resolve(l.Lo, n.Loops), c.resolve(l.Hi, n.Loops)})
+	}
+	for _, s := range n.Body {
+		var plan stmtPlan
+		if len(n.Loops) > 0 {
+			inner := len(n.Loops) - 1
+			plan = planStmt(s, n.Loops[inner].Index, c.enclosing[:inner], logical2D)
+		}
+		for ri, ref := range s.Refs {
+			rc := refCode{array: ref.Array, row: c.resolve(ref.Row, n.Loops), col: c.resolve(ref.Col, n.Loops), pc: ref.pc, kind: isa.Load}
+			if ref.Write {
+				rc.kind = isa.Store
+			}
+			if plan.refs != nil {
+				rc.a = plan.refs[ri]
+			} else {
+				rc.a = analysis{class: refInvariant, orient: analyzeOrientStatic(ref, logical2D)}
+			}
+			c.refs = append(c.refs, rc)
+		}
+		c.stmts = append(c.stmts, stmtCode{compute: uint32(s.Compute), vectorize: plan.vectorize})
+	}
+	// Slice the refs only now: appends above may have moved c.refs.
+	first := 0
+	for si, s := range n.Body {
+		c.stmts[si].refs = c.refs[first : first+len(s.Refs) : first+len(s.Refs)]
+		first += len(s.Refs)
+	}
+}
+
+// resolve binds e's indices to loop depths. An index that names no loop of
+// the nest evaluates to 0, as Expr.Eval does for an unbound name. The terms
+// live in c.terms; a later append that moves c.terms leaves earlier affines
+// on the old array, whose entries are never rewritten while c is in use.
+func (c *nestCode) resolve(e Expr, loops []Loop) affine {
+	start := len(c.terms)
+	for name, coeff := range e.coeffs {
+		for d := range loops {
+			if loops[d].Index == name {
+				c.terms = append(c.terms, term{slot: d, coeff: coeff})
+				break
+			}
+		}
+	}
+	return affine{terms: c.terms[start:len(c.terms):len(c.terms)], cnst: e.cnst}
+}
+
+func (g *gen) nest(n *nestCode) {
+	if cap(g.env) < len(n.bounds) {
+		g.env = make([]int, len(n.bounds))
+	}
+	g.env = g.env[:len(n.bounds)]
+	if len(n.bounds) == 0 {
 		// Straight-line: every ref executes once, loads before stores.
-		for _, s := range n.Body {
-			g.pending += uint32(s.Compute)
-			for _, ref := range s.Refs {
-				if !ref.Write {
-					g.scalarRef(ref, env, analyzeOrientStatic(ref, g.p.Target.Logical2D))
-				}
-			}
-			for _, ref := range s.Refs {
-				if ref.Write {
-					g.scalarRef(ref, env, analyzeOrientStatic(ref, g.p.Target.Logical2D))
-				}
-			}
+		for si := range n.stmts {
+			s := &n.stmts[si]
+			g.pending += s.compute
+			g.invariantRefs(s, isa.Load)
+			g.invariantRefs(s, isa.Store)
 		}
 		return
 	}
-	g.loops(n, 0, env)
+	g.loops(n, 0)
+}
+
+// invariantRefs emits the statement's invariant refs of the given kind at
+// the current env.
+func (g *gen) invariantRefs(s *stmtCode, kind isa.Kind) {
+	for ri := range s.refs {
+		r := &s.refs[ri]
+		if r.a.class == refInvariant && r.kind == kind {
+			g.scalarRef(r)
+		}
+	}
 }
 
 // loops recurses over the outer loops; the innermost level runs the
 // vectorization plan.
-func (g *gen) loops(n *Nest, depth int, env map[string]int) {
+func (g *gen) loops(n *nestCode, depth int) {
 	if g.stopped {
 		return
 	}
-	l := n.Loops[depth]
-	lo, hi := l.Lo.Eval(env), l.Hi.Eval(env)
-	if depth == len(n.Loops)-1 {
-		g.innermost(n, env, l.Index, lo, hi)
+	lo, hi := n.bounds[depth][0].eval(g.env), n.bounds[depth][1].eval(g.env)
+	if depth == len(n.bounds)-1 {
+		g.innermost(n, depth, lo, hi)
 		return
 	}
 	for v := lo; v < hi && !g.stopped; v++ {
-		env[l.Index] = v
-		g.loops(n, depth+1, env)
+		g.env[depth] = v
+		g.loops(n, depth+1)
 	}
-	delete(env, l.Index)
 }
 
-// innermost executes one instance of the innermost loop: hoisted loads,
-// peel/vector/tail per statement plan, hoisted stores.
-func (g *gen) innermost(n *Nest, env map[string]int, v string, lo, hi int) {
+// innermost executes one instance of the innermost loop (index slot v):
+// hoisted loads, peel/vector/tail per statement plan, hoisted stores.
+func (g *gen) innermost(n *nestCode, v, lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	enclosing := make([]string, 0, len(n.Loops)-1)
-	for _, l := range n.Loops[:len(n.Loops)-1] {
-		enclosing = append(enclosing, l.Index)
-	}
-	plans := make([]stmtPlan, len(n.Body))
-	for si, s := range n.Body {
-		plans[si] = planStmt(s, v, enclosing, g.p.Target.Logical2D)
-	}
+	env := g.env
 
 	// Hoisted loads (invariant reads) once per instance.
 	env[v] = lo
-	for si, s := range n.Body {
-		for ri, ref := range s.Refs {
-			if plans[si].refs[ri].class == refInvariant && !ref.Write {
-				g.scalarRef(ref, env, plans[si].refs[ri].orient)
-			}
-		}
+	for si := range n.stmts {
+		g.invariantRefs(&n.stmts[si], isa.Load)
 	}
 
-	for si, s := range n.Body {
-		plan := &plans[si]
-		if plan.vectorize {
+	for si := range n.stmts {
+		s := &n.stmts[si]
+		if s.vectorize {
 			x := lo
 			for x < hi && x%8 != 0 {
-				g.scalarIter(s, plan, env, v, x)
+				g.scalarIter(s, v, x)
 				x++
 			}
 			for x+8 <= hi {
-				g.vectorChunk(s, plan, env, v, x)
+				g.vectorChunk(s, v, x)
 				x += 8
 			}
 			for x < hi {
-				g.scalarIter(s, plan, env, v, x)
+				g.scalarIter(s, v, x)
 				x++
 			}
 		} else {
 			for x := lo; x < hi && !g.stopped; x++ {
-				g.scalarIter(s, plan, env, v, x)
+				g.scalarIter(s, v, x)
 			}
 		}
 	}
 
 	// Hoisted stores (invariant writes) once per instance.
 	env[v] = lo
-	for si, s := range n.Body {
-		for ri, ref := range s.Refs {
-			if plans[si].refs[ri].class == refInvariant && ref.Write {
-				g.scalarRef(ref, env, plans[si].refs[ri].orient)
-			}
-		}
+	for si := range n.stmts {
+		g.invariantRefs(&n.stmts[si], isa.Store)
 	}
-	delete(env, v)
 }
 
 // scalarIter emits the statement's non-invariant refs for iteration x.
-func (g *gen) scalarIter(s Stmt, plan *stmtPlan, env map[string]int, v string, x int) {
-	env[v] = x
-	g.pending += uint32(s.Compute)
-	for ri, ref := range s.Refs {
-		if plan.refs[ri].class == refInvariant {
-			continue
+func (g *gen) scalarIter(s *stmtCode, v, x int) {
+	g.env[v] = x
+	g.pending += s.compute
+	for ri := range s.refs {
+		if r := &s.refs[ri]; r.a.class != refInvariant {
+			g.scalarRef(r)
 		}
-		g.scalarRef(ref, env, plan.refs[ri].orient)
 	}
 }
 
 // vectorChunk emits the statement's refs for iterations [x, x+8).
-func (g *gen) vectorChunk(s Stmt, plan *stmtPlan, env map[string]int, v string, x int) {
-	env[v] = x
-	g.pending += uint32(s.Compute)
-	for ri, ref := range s.Refs {
-		a := plan.refs[ri]
-		switch a.class {
+func (g *gen) vectorChunk(s *stmtCode, v, x int) {
+	g.pending += s.compute
+	for ri := range s.refs {
+		r := &s.refs[ri]
+		switch r.a.class {
 		case refInvariant:
 			continue
 		case refRowStream, refColStream:
-			g.vectorRef(ref, a, env, v, x)
+			g.vectorRef(r, v, x)
 		default:
 			panic("compiler: irregular ref in vectorized statement")
 		}
@@ -249,38 +338,31 @@ func (g *gen) vectorChunk(s Stmt, plan *stmtPlan, env map[string]int, v string, 
 // vectorRef emits the vector op(s) covering elements x+offset .. x+offset+7
 // along the streaming dimension. Aligned accesses are one line; offset
 // (unaligned) loads cover two.
-func (g *gen) vectorRef(ref Ref, a analysis, env map[string]int, v string, x int) {
-	kind := isa.Load
-	if ref.Write {
-		kind = isa.Store
-	}
+func (g *gen) vectorRef(r *refCode, v, x int) {
+	env := g.env
 	// Element coordinates at the chunk start.
 	env[v] = x
-	i0, j0 := ref.Row.Eval(env), ref.Col.Eval(env)
-	first := ref.Array.Addr(i0, j0)
+	first := r.array.Addr(r.row.eval(env), r.col.eval(env))
 	env[v] = x + 7
-	last := ref.Array.Addr(ref.Row.Eval(env), ref.Col.Eval(env))
+	last := r.array.Addr(r.row.eval(env), r.col.eval(env))
 	env[v] = x
 
-	lineA := isa.LineOf(first, a.orient)
-	lineB := isa.LineOf(last, a.orient)
-	g.out(isa.Op{Addr: lineA.Base, PC: ref.pc, Kind: kind, Orient: a.orient, Vector: true})
+	orient := r.a.orient
+	lineA := isa.LineOf(first, orient)
+	lineB := isa.LineOf(last, orient)
+	g.out(isa.Op{Addr: lineA.Base, PC: r.pc, Kind: r.kind, Orient: orient, Vector: true})
 	if lineB != lineA {
-		if ref.Write {
+		if r.kind == isa.Store {
 			panic("compiler: unaligned vector store should have been rejected by planStmt")
 		}
-		g.out(isa.Op{Addr: lineB.Base, PC: ref.pc, Kind: kind, Orient: a.orient, Vector: true})
+		g.out(isa.Op{Addr: lineB.Base, PC: r.pc, Kind: r.kind, Orient: orient, Vector: true})
 	}
 }
 
 // scalarRef emits one scalar op for the reference at the current env.
-func (g *gen) scalarRef(ref Ref, env map[string]int, orient isa.Orient) {
-	kind := isa.Load
-	if ref.Write {
-		kind = isa.Store
-	}
-	addr := ref.Array.Addr(ref.Row.Eval(env), ref.Col.Eval(env))
-	g.out(isa.Op{Addr: addr, PC: ref.pc, Kind: kind, Orient: orient})
+func (g *gen) scalarRef(r *refCode) {
+	addr := r.array.Addr(r.row.eval(g.env), r.col.eval(g.env))
+	g.out(isa.Op{Addr: addr, PC: r.pc, Kind: r.kind, Orient: r.a.orient})
 }
 
 // analyzeOrientStatic derives the preference for straight-line refs: row

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"mdacache/internal/isa"
@@ -470,5 +471,44 @@ func TestSameSetSimultaneousLookup(t *testing.T) {
 	same, diff := latency(SameSet), latency(DifferentSet)
 	if same >= diff {
 		t.Fatalf("same-set wrong-orient hit (%d) should be faster than different-set (%d)", same, diff)
+	}
+}
+
+// TestPrefetcherExtremePCsAndReset checks that PC 0 and PC MaxUint32 train
+// like any other PC, and that the 257th distinct PC resets the table so
+// earlier PCs start over.
+func TestPrefetcherExtremePCsAndReset(t *testing.T) {
+	train := func(pf *stridePrefetcher, pc uint32) []uint64 {
+		var got []uint64
+		for i := uint64(1); i <= 6; i++ {
+			got = pf.observe(isa.Op{Addr: i * 1024, PC: pc})
+		}
+		return got
+	}
+	pf := newStridePrefetcher(2)
+	for _, pc := range []uint32{0, math.MaxUint32} {
+		if got := pf.observe(isa.Op{Addr: 1 << 20, PC: pc}); got != nil {
+			t.Fatalf("PC %#x: first observe prefetched %v", pc, got)
+		}
+	}
+	for _, pc := range []uint32{0, math.MaxUint32} {
+		if len(train(pf, pc)) == 0 {
+			t.Fatalf("PC %#x never became confident", pc)
+		}
+	}
+
+	pf = newStridePrefetcher(2)
+	for pc := uint32(1); pc <= pfTableCap; pc++ {
+		pf.observe(isa.Op{Addr: 0, PC: pc})
+	}
+	if len(train(pf, 1)) == 0 {
+		t.Fatal("PC 1 not confident with a full table")
+	}
+	pf.observe(isa.Op{Addr: 0, PC: pfTableCap + 1}) // 257th distinct PC
+	if got := pf.observe(isa.Op{Addr: 7 * 1024, PC: 1}); got != nil {
+		t.Fatalf("PC 1 kept its stride across the table reset: %v", got)
+	}
+	if len(pf.slab) != 2 {
+		t.Fatalf("table holds %d PCs after reset and one re-entry, want 2", len(pf.slab))
 	}
 }

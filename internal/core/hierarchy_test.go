@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"mdacache/internal/isa"
 	"mdacache/internal/sim"
@@ -202,4 +203,24 @@ func TestEventQueueEmptiesAfterRun(t *testing.T) {
 	}
 	var q sim.EventQueue
 	_ = q
+}
+
+// TestBuildsShareMetricNames pins metric-name interning: two machines'
+// snapshots key their metrics with the same string storage, so Results kept
+// from many runs do not each carry a copy of every name.
+func TestBuildsShareMetricNames(t *testing.T) {
+	a := buildTiny(t, D1DiffSet).Registry.Snapshot()
+	b := buildTiny(t, D1DiffSet).Registry.Snapshot()
+	if len(a.Counters) == 0 || len(a.Counters) != len(b.Counters) {
+		t.Fatalf("counter sets differ: %d vs %d", len(a.Counters), len(b.Counters))
+	}
+	ptrs := make(map[string]*byte, len(b.Counters))
+	for k := range b.Counters {
+		ptrs[k] = unsafe.StringData(k)
+	}
+	for k := range a.Counters {
+		if p, ok := ptrs[k]; !ok || p != unsafe.StringData(k) {
+			t.Fatalf("counter %q not shared between builds", k)
+		}
+	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "mdacache/internal/isa"
+import (
+	"math/bits"
+
+	"mdacache/internal/isa"
+)
 
 // fillTarget is one consumer of an in-flight fill, encoded as a small value
 // instead of a per-miss closure (the fill path is hot enough that closure
@@ -41,19 +45,21 @@ const (
 // intersecting modified lines, and fill completions patch in-cache modified
 // words, so overlapping write→read order is preserved end to end.
 //
-// Layout: instead of a map, in-flight entries live in two parallel slices —
-// packed 8-byte keys scanned linearly (in-flight counts are at most the MSHR
-// capacity, usually far less, so the scan beats map hashing) and the entry
-// pointers. Removal swap-deletes; lookups are exact-key and overlap checks
-// boolean, so entry order never matters. Entries are pooled and pre-bound
-// to their cache's fill-arrival callback via the bind hook, so allocation
-// is amortised to the simulation's high-water mark.
+// Layout: in-flight entries live in an open-addressing table keyed by the
+// packed line key — power-of-two size at least twice the capacity, linear
+// probing, backward-shift deletion — so lookup, allocate and complete are
+// O(1) whatever the file's occupancy. Each entry records its slot, so
+// complete needs no lookup. Entries are pooled and pre-bound to their cache's
+// fill-arrival callback via the bind hook, so allocation is amortised to the
+// simulation's high-water mark.
 type mshrFile struct {
-	cap  int
-	keys []uint64 // packed line keys, parallel to ents
-	ents []*mshrEntry
-	free *mshrEntry         // entry pool (intrusive list via poolNext)
-	bind func(e *mshrEntry) // owner pre-binds e.onFill on first allocation
+	cap   int
+	n     int                // entries in flight
+	table []mshrSlot         // open-addressing index, len a power of two
+	mask  uint64             // len(table) - 1
+	shift uint               // 64 - log2(len(table)), for Fibonacci hashing
+	free  *mshrEntry         // entry pool (intrusive list via poolNext)
+	bind  func(e *mshrEntry) // owner pre-binds e.onFill on first allocation
 
 	// Stalled accesses wait in a head-index ring (FIFO). A plain
 	// `waiters = waiters[1:]` pop would pin every popped element's backing
@@ -61,6 +67,13 @@ type mshrFile struct {
 	waiters []waiter
 	wHead   int
 	wLen    int
+}
+
+// mshrSlot is one table slot; e == nil marks it empty (key 0 is a valid
+// line key, so the key alone cannot).
+type mshrSlot struct {
+	key uint64
+	e   *mshrEntry
 }
 
 // waiter is one access stalled on a full file: enough to re-issue the
@@ -72,6 +85,7 @@ type waiter struct {
 
 type mshrEntry struct {
 	line     isa.LineID
+	slot     int // index in mshrFile.table while in flight
 	prefetch bool
 	born     uint64 // allocation cycle, for fill-latency accounting
 	targets  []fillTarget
@@ -89,40 +103,43 @@ func lineKey(line isa.LineID) uint64 { return line.Base | uint64(line.Orient) }
 // newMSHRFile builds a file; bind is invoked once for every newly created
 // pooled entry so the owning cache can pre-bind its fill-arrival callback.
 func newMSHRFile(capacity int, bind func(e *mshrEntry)) *mshrFile {
+	size := 2
+	for size < 2*capacity {
+		size *= 2
+	}
 	return &mshrFile{
-		cap:  capacity,
-		keys: make([]uint64, 0, capacity),
-		ents: make([]*mshrEntry, 0, capacity),
-		bind: bind,
+		cap:   capacity,
+		table: make([]mshrSlot, size),
+		mask:  uint64(size - 1),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		bind:  bind,
 	}
 }
+
+// home is key's preferred table slot (Fibonacci hashing: line keys differ
+// mostly in middle bits, which the multiply spreads into the top bits).
+func (f *mshrFile) home(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> f.shift }
 
 // lookup returns the in-flight entry for line, if any.
 func (f *mshrFile) lookup(line isa.LineID) *mshrEntry {
 	k := lineKey(line)
-	for i, key := range f.keys {
-		if key == k {
-			return f.ents[i]
+	for i := f.home(k); ; i = (i + 1) & f.mask {
+		s := &f.table[i]
+		if s.e == nil || s.key == k {
+			return s.e
 		}
 	}
-	return nil
-}
-
-// anyInFlightOverlapping reports whether any in-flight fill overlaps line.
-func (f *mshrFile) anyInFlightOverlapping(line isa.LineID) bool {
-	for _, e := range f.ents {
-		if e.line.Overlaps(line) {
-			return true
-		}
-	}
-	return false
 }
 
 // full reports whether a new entry can be allocated.
-func (f *mshrFile) full() bool { return len(f.ents) >= f.cap }
+func (f *mshrFile) full() bool { return f.n >= f.cap }
 
-// allocate creates an entry; the caller must have checked full().
+// allocate creates an entry; the caller must have checked full() and that
+// line is not already in flight.
 func (f *mshrFile) allocate(line isa.LineID, prefetch bool) *mshrEntry {
+	if f.full() {
+		panic("core: MSHR allocate on a full file")
+	}
 	e := f.free
 	if e != nil {
 		f.free = e.poolNext
@@ -136,9 +153,38 @@ func (f *mshrFile) allocate(line isa.LineID, prefetch bool) *mshrEntry {
 	e.line = line
 	e.prefetch = prefetch
 	e.born = 0
-	f.keys = append(f.keys, lineKey(line))
-	f.ents = append(f.ents, e)
+	k := lineKey(line)
+	i := f.home(k)
+	for f.table[i].e != nil {
+		i = (i + 1) & f.mask
+	}
+	f.table[i] = mshrSlot{key: k, e: e}
+	e.slot = int(i)
+	f.n++
 	return e
+}
+
+// remove frees e's slot by backward-shift deletion: later entries of the
+// probe run move up into the hole whenever that keeps them reachable from
+// their home slot, so lookups never need tombstones.
+func (f *mshrFile) remove(e *mshrEntry) {
+	hole := uint64(e.slot)
+	if f.table[hole].e != e {
+		panic("core: MSHR complete of an entry not in flight")
+	}
+	for j := (hole + 1) & f.mask; f.table[j].e != nil; j = (j + 1) & f.mask {
+		s := f.table[j]
+		h := f.home(s.key)
+		// s may fill the hole iff the hole lies on its probe path, i.e.
+		// cyclically in [h, j).
+		if (hole-h)&f.mask < (j-h)&f.mask {
+			f.table[hole] = s
+			s.e.slot = int(hole)
+			hole = j
+		}
+	}
+	f.table[hole] = mshrSlot{}
+	f.n--
 }
 
 // stall queues the access to be re-issued when an entry frees.
@@ -171,18 +217,7 @@ func (f *mshrFile) waiterCap() int { return len(f.waiters) }
 // access, if any. The entry itself stays owned by the caller — dispatch its
 // targets, then hand it back with release.
 func (f *mshrFile) complete(e *mshrEntry) (w waiter, ok bool) {
-	k := lineKey(e.line)
-	for i, key := range f.keys {
-		if key == k {
-			last := len(f.keys) - 1
-			f.keys[i] = f.keys[last]
-			f.keys = f.keys[:last]
-			f.ents[i] = f.ents[last]
-			f.ents[last] = nil
-			f.ents = f.ents[:last]
-			break
-		}
-	}
+	f.remove(e)
 	if f.wLen > 0 {
 		w = f.waiters[f.wHead]
 		f.waiters[f.wHead] = waiter{} // release callback refs
@@ -205,4 +240,4 @@ func (f *mshrFile) release(e *mshrEntry) {
 }
 
 // inFlight returns the number of allocated entries.
-func (f *mshrFile) inFlight() int { return len(f.ents) }
+func (f *mshrFile) inFlight() int { return f.n }

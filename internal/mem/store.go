@@ -15,7 +15,7 @@ import (
 // duplicate-handling policies against a flat oracle.
 //
 // Tile payloads live in an off-heap arena on platforms that support it
-// (mmap-backed on Linux, see arena_linux.go), with an open-addressing index
+// (mmap-backed on Linux, see store_linux.go), with an open-addressing index
 // whose arrays are also arena-allocated: a multi-gigabyte simulated
 // footprint adds O(1) to the Go heap and zero GC scan work. Other platforms
 // fall back to a heap map with identical semantics (store_fallback.go).

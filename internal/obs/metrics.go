@@ -18,11 +18,44 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// names interns registered metric names process-wide. Components build
+// names by concatenation ("l1." + "hits"), so without interning every
+// machine's registry — and every Snapshot kept in a Results — would carry
+// its own copy of each name. The set is bounded by the metric schema, not
+// by the number of runs: only registration adds to it.
+var names struct {
+	sync.RWMutex
+	m map[string]string
+}
+
+// internName returns the canonical copy of name, adding name if new.
+func internName(name string) string {
+	names.RLock()
+	c, ok := names.m[name]
+	names.RUnlock()
+	if ok {
+		return c
+	}
+	names.Lock()
+	defer names.Unlock()
+	if c, ok := names.m[name]; ok {
+		return c
+	}
+	if names.m == nil {
+		names.m = make(map[string]string)
+	}
+	name = strings.Clone(name) // never pin a larger buffer the name slices
+	names.m[name] = name
+	return name
+}
 
 // Registry names metric storage owned by simulator components. It is built
 // once per machine at construction time; reads happen only at Snapshot.
@@ -46,8 +79,9 @@ func NewRegistry() *Registry {
 }
 
 // check panics on duplicate or empty names: metric names are a schema, and a
-// collision means two components silently share storage.
-func (r *Registry) check(name string) {
+// collision means two components silently share storage. It returns the
+// interned name, which the registry stores in place of name.
+func (r *Registry) check(name string) string {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
@@ -63,6 +97,7 @@ func (r *Registry) check(name string) {
 	if _, ok := r.hists[name]; ok {
 		panic("obs: duplicate metric " + name)
 	}
+	return internName(name)
 }
 
 // Counter registers p as the storage of a monotonically increasing metric.
@@ -71,7 +106,7 @@ func (r *Registry) Counter(name string, p *uint64) {
 	if r == nil {
 		return
 	}
-	r.check(name)
+	name = r.check(name)
 	r.counters[name] = p
 }
 
@@ -80,7 +115,7 @@ func (r *Registry) Float(name string, p *float64) {
 	if r == nil {
 		return
 	}
-	r.check(name)
+	name = r.check(name)
 	r.floats[name] = p
 }
 
@@ -91,7 +126,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.check(name)
+	name = r.check(name)
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -103,7 +138,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.check(name)
+	name = r.check(name)
 	h := &Histogram{}
 	r.hists[name] = h
 	return h
@@ -209,6 +244,41 @@ type Snapshot struct {
 	Floats   map[string]float64      `json:"floats,omitempty"`
 	Gauges   map[string]int64        `json:"gauges,omitempty"`
 	Hists    map[string]HistSnapshot `json:"hists,omitempty"`
+}
+
+// UnmarshalJSON decodes a snapshot, swapping each metric name for its
+// interned copy when the name is registered in this process, so decoded
+// snapshots (checkpoints, served results) share name storage with live
+// ones. Unknown names are kept as decoded and never interned.
+func (s *Snapshot) UnmarshalJSON(data []byte) error {
+	type plain Snapshot // drops the method, avoiding recursion
+	var p plain
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
+	}
+	*s = Snapshot{
+		Counters: canonicalKeys(p.Counters),
+		Floats:   canonicalKeys(p.Floats),
+		Gauges:   canonicalKeys(p.Gauges),
+		Hists:    canonicalKeys(p.Hists),
+	}
+	return nil
+}
+
+func canonicalKeys[V any](m map[string]V) map[string]V {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]V, len(m))
+	names.RLock()
+	defer names.RUnlock()
+	for k, v := range m {
+		if c, ok := names.m[k]; ok {
+			k = c
+		}
+		out[k] = v
+	}
+	return out
 }
 
 // Snapshot copies all current metric values. Zero-valued counters are

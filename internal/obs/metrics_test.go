@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterAliasesStorage(t *testing.T) {
@@ -169,5 +170,51 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { nilH.Observe(17) }); n != 0 {
 		t.Fatalf("nil Histogram.Observe allocates %v times per call", n)
+	}
+}
+
+// TestSnapshotDecodeInternsKnownNames checks that decoding swaps registered
+// names for their interned copies, keeps the round trip exact, and never
+// adds unknown names to the interned set.
+func TestSnapshotDecodeInternsKnownNames(t *testing.T) {
+	r := NewRegistry()
+	var c uint64 = 3
+	r.Counter("intern.test.known", &c)
+	s := r.Snapshot()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, back) {
+		t.Fatalf("round trip changed the snapshot: %+v vs %+v", s, back)
+	}
+	for k := range back.Counters {
+		if unsafe.StringData(k) != unsafe.StringData(internName("intern.test.known")) {
+			t.Fatalf("decoded name %q not interned", k)
+		}
+	}
+
+	size := func() int {
+		names.RLock()
+		defer names.RUnlock()
+		return len(names.m)
+	}
+	before := size()
+	unknown := []byte(`{"counters":{"intern.test.unknown.a":1},"floats":{"intern.test.unknown.b":2},` +
+		`"gauges":{"intern.test.unknown.c":3},"hists":{"intern.test.unknown.d":{"count":1,"sum":4}}}`)
+	var u Snapshot
+	if err := json.Unmarshal(unknown, &u); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != before {
+		t.Fatalf("decoding unknown names grew the interned set from %d to %d", before, got)
+	}
+	if v, _ := u.Counter("intern.test.unknown.a"); v != 1 || u.Floats["intern.test.unknown.b"] != 2 ||
+		u.Gauges["intern.test.unknown.c"] != 3 || u.Hists["intern.test.unknown.d"].Sum != 4 {
+		t.Fatalf("unknown names decoded wrong: %+v", u)
 	}
 }
