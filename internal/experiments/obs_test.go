@@ -108,19 +108,10 @@ func TestMetricsOracle(t *testing.T) {
 // table of TestGoldenSweepStats, proving the registry path reports the same
 // numbers the legacy reporting pinned there.
 func TestMetricsGoldenValues(t *testing.T) {
-	golden := []struct {
-		design       core.Design
-		hits, misses uint64
-	}{
-		{core.D0Baseline, 1504, 1050},
-		{core.D1DiffSet, 714, 1382},
-		{core.D1SameSet, 1051, 1045},
-		{core.D2Sparse, 716, 1380},
-	}
-	for _, g := range golden {
+	for _, g := range goldenRows {
 		g := g
-		t.Run(g.design.String(), func(t *testing.T) {
-			r, err := Run(obsSpec(g.design))
+		t.Run(g.name(), func(t *testing.T) {
+			r, err := Run(g.spec())
 			if err != nil {
 				t.Fatal(err)
 			}
