@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"mdacache/internal/isa"
 	"mdacache/internal/obs"
 	"mdacache/internal/sim"
@@ -15,12 +13,9 @@ import (
 // dirty mask.
 type line struct {
 	id         isa.LineID
-	valid      bool
 	dirty      uint8
 	prefetched bool
-	way        int32 // fixed index into Cache1P.lines and Cache1P.tags
-	lastUse    uint64
-	rrpv       uint8 // SRRIP re-reference counter
+	way        int32 // fixed index into Cache1P.lines and the controller's tags
 	data       [isa.WordsPerLine]uint64
 }
 
@@ -31,97 +26,32 @@ type line struct {
 // Same-Set mapping, with the write-back-based duplicate-coherence policy of
 // Fig. 9 and the extra tag-probe latencies of §VI-A.
 type Cache1P struct {
-	q         *sim.EventQueue
-	p         CacheParams
+	cacheCtl
 	logical2D bool
-	below     Backend
+	sameSet   bool // logical2D && Mapping == SameSet, hoisted off the index path
 
-	nsets   int
-	setMask uint64 // nsets-1 when nsets is a power of two, else 0 (modulo path)
-	sameSet bool   // logical2D && Mapping == SameSet, hoisted off the index path
-	hitLat  uint64 // HitLatency(), computed once
-
-	// lines holds every way, set s at [s*Assoc, (s+1)*Assoc). tags runs
-	// parallel to it: lineKey(id)|tagValid while the way is valid, else 0,
-	// so find scans one packed word per way instead of the ways themselves.
+	// lines holds every way, parallel to the controller's tags: the tag of
+	// a valid way is lineKey(id)|tagValid.
 	lines []line
-	tags  []uint64
 
-	mshr *mshrFile
-	port sim.Resource
-	// setArb, when non-nil (EnableSetArbitration), replaces the single
-	// global port with one arbiter per set: accesses to different sets
-	// proceed in parallel; same-set accesses contend FIFO (DESIGN §11).
-	setArb []sim.Resource
-	pf     *stridePrefetcher
-	opred  *orientPredictor
-	rng    *sim.RNG // random-replacement source
-
-	// onWrite, when non-nil, observes every store applied to this cache
-	// (line identity + mask of written words) — the snoop hub's remote-write
-	// invalidation hook in multi-core machines.
-	onWrite func(at uint64, id isa.LineID, mask uint8)
+	pf    *stridePrefetcher
+	opred *orientPredictor
 
 	// tileRes counts valid lines per orientation per tile bucket (the CPU's
 	// tileBucket). Every line an intersecting walk or a snoop can touch lies
 	// in one tile, so an empty bucket ends the walk or snoop before any
 	// probe: a host-side snoop filter over the still-broadcast protocol.
 	tileRes [2][tileBuckets]int32
-
-	useCounter uint64
-	stats      LevelStats
-
-	tr      *obs.Tracer    // nil = tracing off (one nil check per event site)
-	fillLat *obs.Histogram // issue→arrival latency of fills (registry-only)
-}
-
-// Instrument publishes the level's counters in the registry (aliasing the
-// LevelStats storage) and attaches the tracer. Called by Build; caches
-// constructed directly (unit tests) run uninstrumented.
-func (c *Cache1P) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	c.tr = tr
-	registerLevelStats(reg, &c.stats)
-	c.fillLat = reg.Histogram(lowerName(c.p.Name) + ".fill_latency")
-}
-
-// traceEv emits a cache-category instant event. Callers guard with
-// `if c.tr != nil` so the off path costs a single branch.
-func (c *Cache1P) traceEv(at uint64, event string, id isa.LineID, v uint64) {
-	if c.tr.Enabled(obs.CatCache) {
-		c.tr.Instant(at, obs.CatCache, c.p.Name, event,
-			obs.Fields{Addr: id.Base, Orient: int8(id.Orient), V: v})
-	}
-}
-
-// traceMSHR emits an MSHR-category instant event carrying the in-flight depth.
-func (c *Cache1P) traceMSHR(at uint64, event string, id isa.LineID) {
-	if c.tr.Enabled(obs.CatMSHR) {
-		c.tr.Instant(at, obs.CatMSHR, c.p.Name, event,
-			obs.Fields{Addr: id.Base, Orient: int8(id.Orient), V: uint64(c.mshr.inFlight())})
-	}
 }
 
 // NewCache1P builds a physically-1-D cache above the given backend.
 func NewCache1P(q *sim.EventQueue, p CacheParams, logical2D bool, below Backend) (*Cache1P, error) {
-	if err := p.Validate(isa.LineSize); err != nil {
+	c := &Cache1P{logical2D: logical2D, sameSet: logical2D && p.Mapping == SameSet}
+	if err := c.init(q, p, below, isa.LineSize); err != nil {
 		return nil, err
 	}
-	nsets := p.SizeBytes / (isa.LineSize * p.Assoc)
-	c := &Cache1P{
-		q: q, p: p, logical2D: logical2D, below: below,
-		nsets:   nsets,
-		sameSet: logical2D && p.Mapping == SameSet,
-		hitLat:  p.HitLatency(),
-		stats:   LevelStats{Name: p.Name},
-	}
-	if nsets&(nsets-1) == 0 {
-		c.setMask = uint64(nsets - 1)
-	}
-	c.mshr = newMSHRFile(p.MSHRs, func(e *mshrEntry) {
-		e.onFill = func(at uint64, data *[isa.WordsPerLine]uint64) { c.fillArrived(at, e, data) }
-	})
-	c.lines = make([]line, nsets*p.Assoc)
-	c.tags = make([]uint64, nsets*p.Assoc)
+	c.lineArr = c
+	c.lines = make([]line, len(c.tags))
 	for w := range c.lines {
 		c.lines[w].way = int32(w)
 	}
@@ -131,36 +61,7 @@ func NewCache1P(q *sim.EventQueue, p CacheParams, logical2D bool, below Backend)
 	if p.PredictOrient && logical2D {
 		c.opred = newOrientPredictor()
 	}
-	if p.Repl == ReplRandom {
-		c.rng = sim.NewRNG(0x5EED)
-	}
 	return c, nil
-}
-
-// Stats implements Level.
-func (c *Cache1P) Stats() *LevelStats { return &c.stats }
-
-// EnableSetArbitration switches the cache from one global port to one
-// arbiter per set — the FlexiCAS-style per-set meta state used at the
-// shared levels of multi-core machines, so orientation duplicates and tile
-// fills from different cores contend per set instead of serializing
-// globally. Call before simulation starts.
-func (c *Cache1P) EnableSetArbitration() {
-	c.setArb = make([]sim.Resource, c.nsets)
-}
-
-// acquirePort reserves occ cycles on the arbiter covering id (the per-set
-// arbiter when enabled, else the global port), counting set conflicts.
-func (c *Cache1P) acquirePort(at uint64, id isa.LineID, occ uint64) (start uint64) {
-	if c.setArb == nil {
-		return c.port.Acquire(at, occ)
-	}
-	start = c.setArb[c.setIndex(id)].Acquire(at, occ)
-	if start > at {
-		c.stats.SetConflicts++
-		c.stats.SetArbDelay += start - at
-	}
-	return start
 }
 
 // setIndex maps a line to its set.
@@ -177,40 +78,19 @@ func (c *Cache1P) setIndex(id isa.LineID) int {
 	if !c.sameSet {
 		num = num*isa.LinesPerTile + uint64(id.Index())
 	}
-	if c.setMask != 0 {
-		return int(num & c.setMask)
-	}
-	// Scaled configurations can produce a non-power-of-two set count.
-	return int(num % uint64(c.nsets))
+	return c.setOf(num)
 }
-
-// tagValid is the valid bit of a packed tag: lineKey uses bit 0 of the
-// word-aligned base for the orientation, leaving bit 1 free.
-const tagValid = 2
 
 // find returns the resident line with the given identity, or nil.
 func (c *Cache1P) find(id isa.LineID) *line {
-	base := c.setIndex(id) * c.p.Assoc
-	key := lineKey(id) | tagValid
-	for w, t := range c.tags[base : base+c.p.Assoc] {
-		if t == key {
-			return &c.lines[base+w]
-		}
+	if w := c.findWay(c.setIndex(id), lineKey(id)); w >= 0 {
+		return &c.lines[w]
 	}
 	return nil
 }
 
-// markValid makes l (holding its new identity) resident in the packed tags
-// and the tile residency counts.
-func (c *Cache1P) markValid(l *line) {
-	l.valid = true
-	c.tags[l.way] = lineKey(l.id) | tagValid
-	c.tileRes[l.id.Orient][tileBucket(l.id.Base)]++
-}
-
 // markInvalid drops l from the packed tags and the tile residency counts.
 func (c *Cache1P) markInvalid(l *line) {
-	l.valid = false
 	c.tags[l.way] = 0
 	c.tileRes[l.id.Orient][tileBucket(l.id.Base)]--
 }
@@ -222,16 +102,10 @@ func (c *Cache1P) tileEmpty(id isa.LineID) bool {
 	return c.tileRes[isa.Row][b] == 0 && c.tileRes[isa.Col][b] == 0
 }
 
-func (c *Cache1P) touch(l *line) {
-	c.useCounter++
-	l.lastUse = c.useCounter
-}
-
 // noteDemandHit updates recency, SRRIP promotion and prefetch-usefulness
 // accounting on a demand hit.
 func (c *Cache1P) noteDemandHit(l *line) {
-	c.touch(l)
-	l.rrpv = 0 // SRRIP promotion on proven reuse
+	c.promote(int(l.way))
 	if l.prefetched {
 		l.prefetched = false
 		c.stats.PrefetchUseful++
@@ -265,23 +139,11 @@ func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m *line)) {
 	}
 }
 
-// writebackLine sends a line's dirty words below (full data, dirty mask).
-// Traffic is accounted at dirty-word granularity — the per-word dirty bits
-// of §IV-C exist precisely to shrink false-sharing writeback bandwidth.
-func (c *Cache1P) writebackLine(at uint64, l *line) {
-	c.stats.Writebacks++
-	c.stats.BytesToBelow += uint64(bits.OnesCount8(l.dirty)) * isa.WordSize
-	if c.tr != nil {
-		c.traceEv(at, "writeback", l.id, uint64(l.dirty))
-	}
-	c.below.Writeback(at, l.id, l.dirty, l.data)
-}
-
 // flushLine writes back a modified line and marks it clean (the
 // Modified→Clean "read to duplicate" transition of Fig. 9).
 func (c *Cache1P) flushLine(at uint64, l *line) {
 	if l.dirty != 0 {
-		c.writebackLine(at, l)
+		c.writeback(at, l.id, l.dirty, l.data)
 		l.dirty = 0
 	}
 }
@@ -300,39 +162,6 @@ func (c *Cache1P) evictDuplicate(at uint64, m *line) {
 	}
 }
 
-// victim picks the replacement way in a set: an invalid way if one exists,
-// otherwise the configured policy's choice.
-func (c *Cache1P) victim(set []line) *line {
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-	}
-	switch c.p.Repl {
-	case ReplRandom:
-		return &set[c.rng.Intn(len(set))]
-	case ReplSRRIP:
-		for {
-			for i := range set {
-				if set[i].rrpv >= srripMax {
-					return &set[i]
-				}
-			}
-			for i := range set {
-				set[i].rrpv++
-			}
-		}
-	default: // LRU
-		v := &set[0]
-		for i := range set {
-			if set[i].lastUse < v.lastUse {
-				v = &set[i]
-			}
-		}
-		return v
-	}
-}
-
 // install places line data into the cache, evicting (and writing back) a
 // victim if necessary. If the line is already resident — possible when a
 // writeback from above landed while a fill was in flight, or vice versa —
@@ -340,7 +169,7 @@ func (c *Cache1P) victim(set []line) *line {
 // the incoming data; other resident dirty words take precedence over the
 // (older) incoming data. The merged data is written back into *data so
 // callers deliver fresh words upward.
-func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint64, dirtyMask, overrideMask uint8, prefetched bool) *line {
+func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint64, dirtyMask, overrideMask uint8, prefetched bool) {
 	if l := c.find(id); l != nil {
 		for i := uint(0); i < isa.WordsPerLine; i++ {
 			if l.dirty&(1<<i) != 0 && overrideMask&(1<<i) == 0 {
@@ -349,92 +178,30 @@ func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint
 		}
 		l.data = *data
 		l.dirty |= dirtyMask
-		c.touch(l)
-		return l
+		c.touch(int(l.way))
+		return
 	}
-	base := c.setIndex(id) * c.p.Assoc
-	v := c.victim(c.lines[base : base+c.p.Assoc])
-	if v.valid {
+	w := c.victim(c.setIndex(id))
+	v := &c.lines[w]
+	if c.tags[w] != 0 {
 		c.stats.Evictions++
 		c.markInvalid(v)
 		if v.dirty != 0 {
-			c.writebackLine(at, v)
+			c.writeback(at, v.id, v.dirty, v.data)
 		}
 	}
 	*v = line{id: id, way: v.way, dirty: dirtyMask, prefetched: prefetched, data: *data}
-	c.markValid(v)
-	c.touch(v)
-	v.rrpv = srripInsertRRPV
-	return v
+	c.place(w, lineKey(id))
+	c.tileRes[id.Orient][tileBucket(id.Base)]++
 }
 
-// requestFill starts (or joins) a miss for id. t describes the consumer to
-// wake with the installed line's data (tNone for prefetches).
-func (c *Cache1P) requestFill(at uint64, id isa.LineID, prefetch bool, t fillTarget) {
-	if e := c.mshr.lookup(id); e != nil {
-		c.stats.MSHRCoalesced++
-		if c.tr != nil {
-			c.traceMSHR(at, "mshr_coalesce", id)
-		}
-		if e.prefetch && !prefetch {
-			// A demand miss caught an in-flight prefetch: partial coverage.
-			c.stats.PrefetchUseful++
-			e.prefetch = false
-		}
-		if t.kind != tNone {
-			e.targets = append(e.targets, t)
-		}
-		return
-	}
-	if c.mshr.full() {
-		if prefetch {
-			return // drop prefetches under MSHR pressure
-		}
-		c.stats.MSHRStalls++
-		if c.tr != nil {
-			c.traceMSHR(at, "mshr_stall", id)
-		}
-		c.mshr.stall(id, t)
-		return
-	}
-	e := c.mshr.allocate(id, prefetch)
-	e.born = at
-	if c.tr != nil {
-		c.traceMSHR(at, "mshr_alloc", id)
-	}
-	if t.kind != tNone {
-		e.targets = append(e.targets, t)
-	}
-	// 2-D MSHR ordering (§IV-B): modified intersecting lines are written
-	// back *before* the fill is issued, so the level below observes the
-	// write→read order for the overlapping words.
-	c.intersectingDo(id, func(m *line) {
-		if addr, ok := m.id.Intersection(id); ok {
-			if off, ok := m.id.WordOffset(addr); ok && m.dirty&(1<<off) != 0 {
-				c.flushLine(at, m)
-				c.stats.DuplicateFlushes++
-				if c.tr != nil {
-					c.traceEv(at, "dup_flush", m.id, 0)
-				}
-			}
-		}
-	})
-	c.stats.FillsIssued++
-	c.below.Fill(at, id, e.onFill)
-}
-
-// fillArrived completes a miss: flush any words modified locally since the
-// fill was issued (keeping the Fig. 9 invariant that a modified word has a
-// single copy), latch the freshest committed data below, install, and wake
-// the waiting targets.
-func (c *Cache1P) fillArrived(at uint64, e *mshrEntry, _ *[isa.WordsPerLine]uint64) {
-	id := e.line
-	c.stats.BytesFromBelow += isa.LineSize
-	c.fillLat.Observe(at - e.born)
-	if c.tr.Enabled(obs.CatCache) {
-		c.tr.Span(e.born, at-e.born, obs.CatCache, c.p.Name, "fill",
-			obs.Fields{Addr: id.Base, Orient: int8(id.Orient)})
-	}
+// flushIntersecting writes back the modified intersecting lines of id's
+// tile that hold a word of id. Before a fill issues this is the 2-D MSHR
+// ordering of §IV-B: the level below observes the write→read order for the
+// overlapping words. At fill arrival it flushes words modified locally
+// since the fill was issued, keeping the Fig. 9 invariant that a modified
+// word has a single copy.
+func (c *Cache1P) flushIntersecting(at uint64, id isa.LineID) {
 	c.intersectingDo(id, func(m *line) {
 		addr, _ := m.id.Intersection(id)
 		moff, _ := m.id.WordOffset(addr)
@@ -446,52 +213,28 @@ func (c *Cache1P) fillArrived(at uint64, e *mshrEntry, _ *[isa.WordsPerLine]uint
 			}
 		}
 	})
-	// The timing payload may predate writes that passed the in-flight fill;
-	// latch the current committed state below instead (see Backend.Peek).
-	data := c.below.Peek(id)
-	c.install(at, id, &data, 0, 0, e.prefetch)
-	deliverAt := at + c.p.DataLat
-	w, stalled := c.mshr.complete(e)
-	if c.tr != nil {
-		c.traceMSHR(at, "mshr_retire", id)
-	}
-	for i := range e.targets {
-		c.dispatchTarget(at, deliverAt, id, &e.targets[i], &data)
-	}
-	if stalled {
-		c.requestFill(at, w.line, false, w.target)
-	}
-	c.mshr.release(e)
 }
 
-// dispatchTarget wakes one fill consumer, mirroring exactly what the
-// pre-encoding closures did: word and line deliveries snapshot the merged
-// data now and fire at deliverAt; store targets apply (or refetch) now with
-// deliverAt timing.
-func (c *Cache1P) dispatchTarget(at, deliverAt uint64, id isa.LineID, t *fillTarget, data *[isa.WordsPerLine]uint64) {
-	switch t.kind {
-	case tWord:
-		c.q.ScheduleArg(deliverAt, t.done1, data[t.off])
-	case tLine:
-		c.q.ScheduleData(deliverAt, t.done8, data)
-	case tStore:
-		l := c.find(id)
-		if l == nil {
-			// The just-installed line was evicted within the same cycle by
-			// a conflicting waiter; re-install via a fresh fill.
-			c.requestFill(deliverAt, id, false, fillTarget{
-				kind: tStoreFinal, addr: t.addr, value: t.value, done1: t.done1,
-			})
-			return
-		}
-		c.applyStoreWord(deliverAt, l, t.addr, t.value)
-		c.q.ScheduleArg(deliverAt, t.done1, 0)
-	case tStoreFinal:
-		if l := c.find(id); l != nil {
-			c.applyStoreWord(deliverAt, l, t.addr, t.value)
-		}
-		c.q.ScheduleArg(deliverAt, t.done1, 0)
+// installFill installs an arrived fill and returns the line's data. The
+// timing payload may predate writes that passed the in-flight fill, so the
+// line latches the current committed state below instead (see Backend.Peek).
+func (c *Cache1P) installFill(at uint64, e *mshrEntry) [isa.WordsPerLine]uint64 {
+	c.flushIntersecting(at, e.line)
+	data := c.below.Peek(e.line)
+	c.install(at, e.line, &data, 0, 0, e.prefetch)
+	return data
+}
+
+// applyStore lands a store target of the fill of id. The line was installed
+// in the same call and nothing in between evicts it: the only evictions are
+// applyStoreWord's other-orientation duplicate and the onWrite snoops of
+// sibling L1s.
+func (c *Cache1P) applyStore(at uint64, id isa.LineID, addr, value uint64) {
+	l := c.find(id)
+	if l == nil {
+		panic("core: store target's line not resident at fill")
 	}
+	c.applyStoreWord(at, l, addr, value)
 }
 
 // chargePort reserves the tag/data port for `probes` sequential tag accesses
@@ -500,14 +243,8 @@ func (c *Cache1P) dispatchTarget(at, deliverAt uint64, id isa.LineID, t *fillTar
 // id selects the arbiter under per-set arbitration (shared levels of
 // multi-core machines); otherwise the single global port is charged.
 func (c *Cache1P) chargePort(at uint64, id isa.LineID, probes int) (start, extraLat uint64) {
-	if probes > 1 {
-		c.stats.ExtraTagProbes += uint64(probes - 1)
-		if c.tr.Enabled(obs.CatCache) {
-			c.tr.Instant(at, obs.CatCache, c.p.Name, "dup_probe",
-				obs.Fields{Orient: obs.OrientNone, V: uint64(probes - 1)})
-		}
-	}
-	start = c.acquirePort(at, id, uint64(probes))
+	c.countProbes(at, probes)
+	start = c.acquirePort(at, c.setIndex(id), uint64(probes))
 	return start, uint64(probes-1) * c.p.TagLat
 }
 
@@ -523,19 +260,26 @@ func (c *Cache1P) chargePort(at uint64, id isa.LineID, probes int) (start, extra
 // (wide) set read covers them (1 extra cycle). Statistics still count every
 // logical probe.
 func (c *Cache1P) chargePortOffPath(at uint64, id isa.LineID, probes int) (start uint64) {
+	c.countProbes(at, probes)
 	occ := uint64(probes)
+	if probes > 1 {
+		occ = 2
+		if c.p.Mapping == SameSet {
+			occ = 1 // all candidates live in one set: one wide read
+		}
+	}
+	return c.acquirePort(at, c.setIndex(id), occ)
+}
+
+// countProbes counts the probes beyond the first (§VI-A).
+func (c *Cache1P) countProbes(at uint64, probes int) {
 	if probes > 1 {
 		c.stats.ExtraTagProbes += uint64(probes - 1)
 		if c.tr.Enabled(obs.CatCache) {
 			c.tr.Instant(at, obs.CatCache, c.p.Name, "dup_probe",
 				obs.Fields{Orient: obs.OrientNone, V: uint64(probes - 1)})
 		}
-		occ = 2
-		if c.p.Mapping == SameSet {
-			occ = 1 // all candidates live in one set: one wide read
-		}
 	}
-	return c.acquirePort(at, id, occ)
 }
 
 // checkOrient validates that column traffic only reaches logically-2-D
@@ -551,38 +295,17 @@ func (c *Cache1P) checkOrient(o isa.Orient) bool {
 	return true
 }
 
-// checkCanonical validates a vector line identity. Non-canonical lines come
-// from mis-compiled or corrupt traces; they fail the run with a typed error
-// rather than panicking.
-func checkCanonical(q *sim.EventQueue, name string, id isa.LineID) bool {
-	if !id.IsCanonical() {
-		q.Failf(name, "access", sim.ErrInvalidAccess,
-			"non-canonical line %v (mis-compiled or corrupt trace)", id)
-		return false
-	}
-	return true
-}
-
-// MSHRInFlight implements Level.
-func (c *Cache1P) MSHRInFlight() int { return c.mshr.inFlight() }
-
 // CPUAccess implements Level: one processor memory operation.
 func (c *Cache1P) CPUAccess(at uint64, op isa.Op, done func(at uint64, value uint64)) {
 	if !c.checkOrient(op.Orient) {
 		return
 	}
-	c.stats.Accesses++
-	c.stats.ByOrient[op.Orient]++
-	if op.Vector {
-		c.stats.VectorAccesses++
-	} else {
-		c.stats.ScalarAccesses++
-	}
+	c.countAccess(op)
 	if c.pf != nil {
 		c.prefetchObserve(at, op)
 	}
 	if op.Vector {
-		if !checkCanonical(c.q, c.p.Name, isa.LineID{Base: op.Addr, Orient: op.Orient}) {
+		if !c.checkCanonical(isa.LineID{Base: op.Addr, Orient: op.Orient}) {
 			return
 		}
 		if op.Kind == isa.Load {
@@ -667,7 +390,7 @@ func (c *Cache1P) applyStoreWord(at uint64, l *line, addr, value uint64) {
 	}
 	l.data[off] = value
 	l.dirty |= 1 << off
-	c.touch(l)
+	c.touch(int(l.way))
 	if c.onWrite != nil {
 		c.onWrite(at, l.id, 1<<off)
 	}
@@ -766,12 +489,10 @@ func (c *Cache1P) vectorStore(at uint64, op isa.Op, done func(uint64, uint64)) {
 
 // Fill implements Backend for the level above: serve a full line.
 func (c *Cache1P) Fill(at uint64, id isa.LineID, done func(uint64, *[isa.WordsPerLine]uint64)) {
-	if !c.checkOrient(id.Orient) || !checkCanonical(c.q, c.p.Name, id) {
+	if !c.checkOrient(id.Orient) || !c.checkCanonical(id) {
 		return
 	}
-	c.stats.Accesses++
-	c.stats.VectorAccesses++
-	c.stats.ByOrient[id.Orient]++
+	c.countAccess(isa.Op{Orient: id.Orient, Vector: true})
 	if l := c.find(id); l != nil {
 		start, _ := c.chargePort(at, id, 1)
 		c.stats.Hits++
@@ -797,7 +518,7 @@ func (c *Cache1P) Fill(at uint64, id isa.LineID, done func(uint64, *[isa.WordsPe
 // It is treated as a write for the Fig. 9 duplicate policy: masked (dirty)
 // words evict their other-orientation copies.
 func (c *Cache1P) Writeback(at uint64, id isa.LineID, mask uint8, data [isa.WordsPerLine]uint64) {
-	if !c.checkOrient(id.Orient) || !checkCanonical(c.q, c.p.Name, id) {
+	if !c.checkOrient(id.Orient) || !c.checkCanonical(id) {
 		return
 	}
 	c.stats.WritebacksIn++
@@ -928,7 +649,7 @@ func (c *Cache1P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 // Occupancy implements Level.
 func (c *Cache1P) Occupancy() (rowLines, colLines int) {
 	for i := range c.lines {
-		if !c.lines[i].valid {
+		if c.tags[i] == 0 {
 			continue
 		}
 		if c.lines[i].id.Orient == isa.Row {
@@ -943,7 +664,7 @@ func (c *Cache1P) Occupancy() (rowLines, colLines int) {
 // Drain implements Level: flush all dirty lines below.
 func (c *Cache1P) Drain(at uint64) {
 	for i := range c.lines {
-		if l := &c.lines[i]; l.valid && l.dirty != 0 {
+		if l := &c.lines[i]; c.tags[i] != 0 && l.dirty != 0 {
 			c.flushLine(at, l)
 		}
 	}

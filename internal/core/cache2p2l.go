@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"mdacache/internal/isa"
-	"mdacache/internal/obs"
 	"mdacache/internal/sim"
 )
 
@@ -16,13 +15,11 @@ import (
 // which the paper notes "can also be added to save write back bandwidth".
 type tile struct {
 	base     uint64
-	valid    bool
+	way      int32 // fixed index into Cache2P.tiles and the controller's tags
 	rowValid uint8
 	colValid uint8
 	rowDirty uint8
 	colDirty uint8
-	lastUse  uint64
-	rrpv     uint8                 // SRRIP re-reference counter
 	data     [isa.TileWords]uint64 // row-major: word (r,c) at r*8+c
 }
 
@@ -90,153 +87,63 @@ func (t *tile) writeLine(id isa.LineID, mask uint8, data [isa.WordsPerLine]uint6
 // Fills are sparse by default (one row or column line on demand); the dense
 // variant fills the whole 2-D block on a miss.
 type Cache2P struct {
-	q     *sim.EventQueue
-	p     CacheParams
+	cacheCtl
 	dense bool
-	below Backend
 
-	nsets   int
-	setMask uint64 // nsets-1 when nsets is a power of two, else 0 (modulo path)
-	hitLat  uint64 // HitLatency(), computed once
-	sets    [][]tile
-	mshr    *mshrFile
-	port    sim.Resource
-	// setArb, when non-nil (EnableSetArbitration), replaces the single
-	// global port with one arbiter per set (DESIGN §11).
-	setArb []sim.Resource
-	rng    *sim.RNG // random-replacement source
-
-	// onWrite, when non-nil, observes every store applied to this cache —
-	// the snoop hub's remote-write invalidation hook (see Cache1P.onWrite).
-	onWrite func(at uint64, id isa.LineID, mask uint8)
-
-	useCounter uint64
-	stats      LevelStats
-
-	tr      *obs.Tracer    // nil = tracing off
-	fillLat *obs.Histogram // issue→arrival latency of fills (registry-only)
-}
-
-// Instrument publishes the level's counters in the registry and attaches the
-// tracer (see Cache1P.Instrument).
-func (c *Cache2P) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	c.tr = tr
-	registerLevelStats(reg, &c.stats)
-	c.fillLat = reg.Histogram(lowerName(c.p.Name) + ".fill_latency")
-}
-
-// traceEv emits a cache-category instant event; callers guard with
-// `if c.tr != nil`.
-func (c *Cache2P) traceEv(at uint64, event string, id isa.LineID, v uint64) {
-	if c.tr.Enabled(obs.CatCache) {
-		c.tr.Instant(at, obs.CatCache, c.p.Name, event,
-			obs.Fields{Addr: id.Base, Orient: int8(id.Orient), V: v})
-	}
-}
-
-// traceMSHR emits an MSHR-category instant event with the in-flight depth.
-func (c *Cache2P) traceMSHR(at uint64, event string, id isa.LineID) {
-	if c.tr.Enabled(obs.CatMSHR) {
-		c.tr.Instant(at, obs.CatMSHR, c.p.Name, event,
-			obs.Fields{Addr: id.Base, Orient: int8(id.Orient), V: uint64(c.mshr.inFlight())})
-	}
+	// tiles holds every way, parallel to the controller's tags: the tag of
+	// a valid way is its tile base|tagValid.
+	tiles []tile
 }
 
 // NewCache2P builds a tile cache above the given backend.
 func NewCache2P(q *sim.EventQueue, p CacheParams, dense bool, below Backend) (*Cache2P, error) {
-	if err := p.Validate(isa.TileSize); err != nil {
+	c := &Cache2P{dense: dense}
+	if err := c.init(q, p, below, isa.TileSize); err != nil {
 		return nil, err
 	}
-	nsets := p.SizeBytes / (isa.TileSize * p.Assoc)
-	c := &Cache2P{
-		q: q, p: p, dense: dense, below: below,
-		nsets:  nsets,
-		hitLat: p.HitLatency(),
-		stats:  LevelStats{Name: p.Name},
-	}
-	if nsets&(nsets-1) == 0 {
-		c.setMask = uint64(nsets - 1)
-	}
-	c.mshr = newMSHRFile(p.MSHRs, func(e *mshrEntry) {
-		e.onFill = func(at uint64, data *[isa.WordsPerLine]uint64) { c.fillArrived(at, e, data) }
-	})
-	c.sets = make([][]tile, nsets)
-	backing := make([]tile, nsets*p.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*p.Assoc : (i+1)*p.Assoc]
-	}
-	if p.Repl == ReplRandom {
-		c.rng = sim.NewRNG(0x5EED)
+	c.tileArr = c
+	c.fillDeliver += p.WriteAsymmetry // the fill writes the STT array
+	c.tiles = make([]tile, len(c.tags))
+	for w := range c.tiles {
+		c.tiles[w].way = int32(w)
 	}
 	return c, nil
 }
 
-// Stats implements Level.
-func (c *Cache2P) Stats() *LevelStats { return &c.stats }
-
-// EnableSetArbitration switches the cache from one global port to one
-// arbiter per set, so tile fills from different cores contend per set
-// instead of serializing globally (see Cache1P.EnableSetArbitration).
-func (c *Cache2P) EnableSetArbitration() {
-	c.setArb = make([]sim.Resource, c.nsets)
-}
-
-func (c *Cache2P) setIndex(tileBase uint64) int {
-	if c.setMask != 0 {
-		return int((tileBase >> 9) & c.setMask)
-	}
-	// Scaled configurations can produce a non-power-of-two set count.
-	return int((tileBase >> 9) % uint64(c.nsets))
-}
+func (c *Cache2P) setIndex(tileBase uint64) int { return c.setOf(tileBase >> 9) }
 
 func (c *Cache2P) find(tileBase uint64) *tile {
-	set := c.sets[c.setIndex(tileBase)]
-	for i := range set {
-		if set[i].valid && set[i].base == tileBase {
-			return &set[i]
-		}
+	if w := c.findWay(c.setIndex(tileBase), tileBase); w >= 0 {
+		return &c.tiles[w]
 	}
 	return nil
 }
 
-func (c *Cache2P) touch(t *tile) {
-	c.useCounter++
-	t.lastUse = c.useCounter
+// flushTile writes back the tile's dirty small lines and marks it clean:
+// dirty rows in full, then dirty columns masked to skip words already
+// covered by a dirty row (the word values are identical — tiles hold a
+// single copy).
+func (c *Cache2P) flushTile(at uint64, t *tile) {
+	c.writebackLines(at, t, t.rowDirty, t.colDirty, ^t.rowDirty)
+	t.rowDirty, t.colDirty = 0, 0
 }
 
-// promote marks a demand hit: recency plus SRRIP promotion.
-func (c *Cache2P) promote(t *tile) {
-	c.touch(t)
-	t.rrpv = 0
-}
-
-// evictTile writes back the tile's dirty small lines: dirty rows in full,
-// then dirty columns masked to skip words already covered by a dirty row
-// (the word values are identical — tiles hold a single copy).
-func (c *Cache2P) evictTile(at uint64, t *tile) {
+// writebackLines writes back the small lines of t selected by rows (in
+// full) and then by cols (masked to colMask; none when colMask is 0), each
+// in index order.
+func (c *Cache2P) writebackLines(at uint64, t *tile, rows, cols, colMask uint8) {
 	for r := uint(0); r < isa.LinesPerTile; r++ {
-		if t.rowDirty&(1<<r) != 0 {
+		if rows&(1<<r) != 0 {
 			id := isa.LineID{Base: t.base + uint64(r)*isa.LineSize, Orient: isa.Row}
-			c.writebackLine(at, t, id, 0xff)
+			c.writeback(at, id, 0xff, t.readLine(id))
 		}
 	}
-	colMask := ^t.rowDirty
 	for col := uint(0); col < isa.LinesPerTile; col++ {
-		if t.colDirty&(1<<col) != 0 && colMask != 0 {
+		if cols&(1<<col) != 0 && colMask != 0 {
 			id := isa.LineID{Base: t.base + uint64(col)*isa.WordSize, Orient: isa.Col}
-			c.writebackLine(at, t, id, colMask)
+			c.writeback(at, id, colMask, t.readLine(id))
 		}
 	}
-	t.valid = false
-}
-
-func (c *Cache2P) writebackLine(at uint64, t *tile, id isa.LineID, mask uint8) {
-	c.stats.Writebacks++
-	c.stats.BytesToBelow += uint64(bits.OnesCount8(mask)) * isa.WordSize
-	if c.tr != nil {
-		c.traceEv(at, "writeback", id, uint64(mask))
-	}
-	c.below.Writeback(at, id, mask, t.readLine(id))
 }
 
 // ensureTile returns the resident tile for tileBase, allocating (and
@@ -245,51 +152,18 @@ func (c *Cache2P) ensureTile(at uint64, tileBase uint64) *tile {
 	if t := c.find(tileBase); t != nil {
 		return t
 	}
-	set := c.sets[c.setIndex(tileBase)]
-	v := c.victim(set)
-	if v.valid {
+	w := c.victim(c.setIndex(tileBase))
+	v := &c.tiles[w]
+	if c.tags[w] != 0 {
 		c.stats.Evictions++
-		c.evictTile(at, v)
+		c.flushTile(at, v)
 	}
-	*v = tile{base: tileBase, valid: true}
-	c.touch(v)
-	v.rrpv = srripInsertRRPV
+	*v = tile{base: tileBase, way: v.way}
+	c.place(w, tileBase)
 	return v
 }
 
-// victim picks the replacement tile per the configured policy.
-func (c *Cache2P) victim(set []tile) *tile {
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-	}
-	switch c.p.Repl {
-	case ReplRandom:
-		return &set[c.rng.Intn(len(set))]
-	case ReplSRRIP:
-		for {
-			for i := range set {
-				if set[i].rrpv >= srripMax {
-					return &set[i]
-				}
-			}
-			for i := range set {
-				set[i].rrpv++
-			}
-		}
-	default: // LRU
-		v := &set[0]
-		for i := range set {
-			if set[i].lastUse < v.lastUse {
-				v = &set[i]
-			}
-		}
-		return v
-	}
-}
-
-// markLineValid sets the line's presence (and optionally dirty) bits.
+// markLine sets the line's presence (and optionally dirty) bits.
 func markLine(t *tile, id isa.LineID, dirty bool) {
 	bit := uint8(1) << id.Index()
 	if id.Orient == isa.Row {
@@ -305,77 +179,37 @@ func markLine(t *tile, id isa.LineID, dirty bool) {
 	}
 }
 
-// requestFill starts (or joins) a miss for one line of a tile. On arrival
-// only absent words are merged — resident words (which may be dirty via
-// intersecting lines) always take precedence, preserving single-copy
-// semantics. t describes the consumer to wake (tNone for background fills).
-func (c *Cache2P) requestFill(at uint64, id isa.LineID, background bool, t fillTarget) {
-	if e := c.mshr.lookup(id); e != nil {
-		c.stats.MSHRCoalesced++
-		if c.tr != nil {
-			c.traceMSHR(at, "mshr_coalesce", id)
+// fillSiblings requests the rest of id's 2-D block as background fills
+// after a demand miss of a dense cache (§IV-B(d): "all rows/columns within
+// the 2-D block will follow").
+func (c *Cache2P) fillSiblings(at uint64, id isa.LineID) {
+	tileBase := id.Tile()
+	for i := uint(0); i < isa.LinesPerTile; i++ {
+		sib := isa.LineID{Orient: id.Orient}
+		if id.Orient == isa.Row {
+			sib.Base = tileBase + uint64(i)*isa.LineSize
+		} else {
+			sib.Base = tileBase + uint64(i)*isa.WordSize
 		}
-		if t.kind != tNone {
-			e.targets = append(e.targets, t)
+		if sib == id {
+			continue
 		}
-		return
-	}
-	if c.mshr.full() {
-		if background {
-			return // drop background (dense-mode) fills under pressure
+		if t := c.find(tileBase); t != nil && t.lineValid(sib) {
+			continue
 		}
-		c.stats.MSHRStalls++
-		if c.tr != nil {
-			c.traceMSHR(at, "mshr_stall", id)
-		}
-		c.mshr.stall(id, t)
-		return
-	}
-	e := c.mshr.allocate(id, background)
-	e.born = at
-	if c.tr != nil {
-		c.traceMSHR(at, "mshr_alloc", id)
-	}
-	if t.kind != tNone {
-		e.targets = append(e.targets, t)
-	}
-	c.stats.FillsIssued++
-	c.below.Fill(at, id, e.onFill)
-	if c.dense && !background {
-		// Dense 2P2L: the rest of the 2-D block follows the missing line
-		// (§IV-B(d): "all rows/columns within the 2-D block will follow").
-		tileBase := id.Tile()
-		for i := uint(0); i < isa.LinesPerTile; i++ {
-			sib := isa.LineID{Orient: id.Orient}
-			if id.Orient == isa.Row {
-				sib.Base = tileBase + uint64(i)*isa.LineSize
-			} else {
-				sib.Base = tileBase + uint64(i)*isa.WordSize
-			}
-			if sib == id {
-				continue
-			}
-			if t := c.find(tileBase); t != nil && t.lineValid(sib) {
-				continue
-			}
-			c.requestFill(at, sib, true, fillTarget{})
-		}
+		c.requestFill(at, sib, true, fillTarget{})
 	}
 }
 
-func (c *Cache2P) fillArrived(at uint64, e *mshrEntry, _ *[isa.WordsPerLine]uint64) {
-	id := e.line
-	c.stats.BytesFromBelow += isa.LineSize
-	c.fillLat.Observe(at - e.born)
-	if c.tr.Enabled(obs.CatCache) {
-		c.tr.Span(e.born, at-e.born, obs.CatCache, c.p.Name, "fill",
-			obs.Fields{Addr: id.Base, Orient: int8(id.Orient)})
-	}
-	// Latch the freshest committed data below the cache rather than the
-	// (possibly overtaken) timing payload — see Backend.Peek.
+// installFill merges an arrived line into its tile and returns the merged
+// line. Only words not already present are taken from the fill — resident
+// words (which may be dirty via intersecting lines) take precedence,
+// preserving single-copy semantics. The fill latches the freshest committed
+// data below rather than the (possibly overtaken) timing payload — see
+// Backend.Peek.
+func (c *Cache2P) installFill(at uint64, id isa.LineID) [isa.WordsPerLine]uint64 {
 	data := c.below.Peek(id)
 	t := c.ensureTile(at, id.Tile())
-	// Merge: only words not already present are taken from the fill.
 	var mask uint8
 	for i := uint(0); i < isa.WordsPerLine; i++ {
 		addr := id.WordAddr(i)
@@ -385,43 +219,18 @@ func (c *Cache2P) fillArrived(at uint64, e *mshrEntry, _ *[isa.WordsPerLine]uint
 	}
 	t.writeLine(id, mask, data)
 	markLine(t, id, false)
-	c.touch(t)
-	merged := t.readLine(id)
-	deliverAt := at + c.p.DataLat + c.p.WriteAsymmetry
-	w, stalled := c.mshr.complete(e)
-	if c.tr != nil {
-		c.traceMSHR(at, "mshr_retire", id)
-	}
-	for i := range e.targets {
-		c.dispatchTarget(deliverAt, id, &e.targets[i], &merged)
-	}
-	if stalled {
-		c.requestFill(at, w.line, false, w.target)
-	}
-	c.mshr.release(e)
+	c.touch(int(t.way))
+	return t.readLine(id)
 }
 
-// dispatchTarget wakes one fill consumer, mirroring exactly what the
-// pre-encoding closures did: word and line deliveries snapshot the merged
-// data now and fire at deliverAt; store targets apply (or refetch) now.
-func (c *Cache2P) dispatchTarget(deliverAt uint64, id isa.LineID, t *fillTarget, data *[isa.WordsPerLine]uint64) {
-	switch t.kind {
-	case tWord:
-		c.q.ScheduleArg(deliverAt, t.done1, data[t.off])
-	case tLine:
-		c.q.ScheduleData(deliverAt, t.done8, data)
-	case tStore2P:
-		nt := c.find(isa.TileBase(t.addr))
-		r, col := isa.RowInTile(t.addr), isa.ColInTile(t.addr)
-		if nt == nil || !nt.wordValid(r, col) {
-			// Evicted by a same-cycle conflicting waiter: refetch with the
-			// same target (the pre-encoding closure retried itself).
-			c.requestFill(deliverAt, id, false, *t)
-			return
-		}
-		c.applyScalarStore(deliverAt, nt, t.addr, t.value)
-		c.q.ScheduleArg(deliverAt, t.done1, 0)
+// applyStore lands a store target of a fill. Its tile was filled in the
+// same call and nothing in between evicts it (see Cache1P.applyStore).
+func (c *Cache2P) applyStore(at uint64, addr, value uint64) {
+	t := c.find(isa.TileBase(addr))
+	if t == nil {
+		panic("core: store target's tile not resident at fill")
 	}
+	c.applyScalarStore(at, t, addr, value)
 }
 
 // chargePort reserves the cache port (the per-set arbiter covering tileBase
@@ -433,35 +242,14 @@ func (c *Cache2P) chargePort(at uint64, tileBase uint64, probes int, write bool)
 	if write {
 		occ += c.p.WriteAsymmetry
 	}
-	if c.setArb == nil {
-		return c.port.Acquire(at, occ)
-	}
-	start := c.setArb[c.setIndex(tileBase)].Acquire(at, occ)
-	if start > at {
-		c.stats.SetConflicts++
-		c.stats.SetArbDelay += start - at
-	}
-	return start
+	return c.acquirePort(at, c.setIndex(tileBase), occ)
 }
-
-func (c *Cache2P) countAccess(op isa.Op) {
-	c.stats.Accesses++
-	c.stats.ByOrient[op.Orient]++
-	if op.Vector {
-		c.stats.VectorAccesses++
-	} else {
-		c.stats.ScalarAccesses++
-	}
-}
-
-// MSHRInFlight implements Level.
-func (c *Cache2P) MSHRInFlight() int { return c.mshr.inFlight() }
 
 // CPUAccess implements Level (used when a Cache2P is the L1 — Design 3).
 func (c *Cache2P) CPUAccess(at uint64, op isa.Op, done func(at uint64, value uint64)) {
 	c.countAccess(op)
 	id := isa.LineFor(op)
-	if !checkCanonical(c.q, c.p.Name, id) {
+	if !c.checkCanonical(id) {
 		return
 	}
 	t := c.find(id.Tile())
@@ -472,7 +260,7 @@ func (c *Cache2P) CPUAccess(at uint64, op isa.Op, done func(at uint64, value uin
 		data := vectorPayload(op.Value)
 		nt.writeLine(id, 0xff, data)
 		markLine(nt, id, true)
-		c.touch(nt)
+		c.touch(int(nt.way))
 		if t != nil {
 			c.stats.Hits++
 		} else {
@@ -482,53 +270,45 @@ func (c *Cache2P) CPUAccess(at uint64, op isa.Op, done func(at uint64, value uin
 			c.onWrite(start, id, 0xff)
 		}
 		c.q.ScheduleArg(start+c.hitLat, done, 0)
-		return
 
 	case op.Vector: // vector load
+		start := c.chargePort(at, id.Tile(), 1, false)
 		if t != nil && t.lineValid(id) {
-			start := c.chargePort(at, id.Tile(), 1, false)
 			c.stats.Hits++
-			c.promote(t)
+			c.promote(int(t.way))
 			c.q.ScheduleArg(start+c.hitLat, done, t.readLine(id)[0])
 			return
 		}
 		if t != nil && t.linePartial(id) {
 			c.stats.PartialHits++
 		}
-		start := c.chargePort(at, id.Tile(), 1, false)
 		c.stats.Misses++
 		c.requestFill(start+c.p.TagLat, id, false, fillTarget{kind: tWord, off: 0, done1: done})
-		return
 
 	case op.Kind == isa.Load:
+		start := c.chargePort(at, id.Tile(), 1, false)
 		r, col := isa.RowInTile(op.Addr), isa.ColInTile(op.Addr)
 		if t != nil && t.wordValid(r, col) {
-			start := c.chargePort(at, id.Tile(), 1, false)
 			c.stats.Hits++
-			c.promote(t)
+			c.promote(int(t.way))
 			c.q.ScheduleArg(start+c.hitLat, done, t.data[r*isa.WordsPerLine+col])
 			return
 		}
-		start := c.chargePort(at, id.Tile(), 1, false)
 		c.stats.Misses++
 		off, _ := id.WordOffset(op.Addr)
 		c.requestFill(start+c.p.TagLat, id, false, fillTarget{kind: tWord, off: uint8(off), done1: done})
-		return
 
 	default: // scalar store
-		r, col := isa.RowInTile(op.Addr), isa.ColInTile(op.Addr)
-		if t != nil && t.wordValid(r, col) {
-			start := c.chargePort(at, id.Tile(), 1, true)
+		start := c.chargePort(at, id.Tile(), 1, true)
+		if t != nil && t.wordValid(isa.RowInTile(op.Addr), isa.ColInTile(op.Addr)) {
 			c.stats.Hits++
 			c.applyScalarStore(start, t, op.Addr, op.Value)
 			c.q.ScheduleArg(start+c.hitLat, done, 0)
 			return
 		}
-		start := c.chargePort(at, id.Tile(), 1, true)
 		c.stats.Misses++
 		c.requestFill(start+c.p.TagLat, id, false,
-			fillTarget{kind: tStore2P, addr: op.Addr, value: op.Value, done1: done})
-		return
+			fillTarget{kind: tStore, addr: op.Addr, value: op.Value, done1: done})
 	}
 }
 
@@ -545,7 +325,7 @@ func (c *Cache2P) applyScalarStore(at uint64, t *tile, addr, value uint64) {
 	default:
 		panic("core: scalar store to non-resident word in tile")
 	}
-	c.promote(t)
+	c.promote(int(t.way))
 	if c.onWrite != nil {
 		c.onWrite(at, isa.LineOf(addr, isa.Row), 1<<col)
 	}
@@ -554,14 +334,14 @@ func (c *Cache2P) applyScalarStore(at uint64, t *tile, addr, value uint64) {
 // Fill implements Backend for the level above.
 func (c *Cache2P) Fill(at uint64, id isa.LineID, done func(uint64, *[isa.WordsPerLine]uint64)) {
 	c.countAccess(isa.Op{Addr: id.Base, Orient: id.Orient, Vector: true})
-	if !checkCanonical(c.q, c.p.Name, id) {
+	if !c.checkCanonical(id) {
 		return
 	}
+	start := c.chargePort(at, id.Tile(), 1, false)
 	if t := c.find(id.Tile()); t != nil {
 		if t.lineValid(id) {
-			start := c.chargePort(at, id.Tile(), 1, false)
 			c.stats.Hits++
-			c.promote(t)
+			c.promote(int(t.way))
 			data := t.readLine(id)
 			c.q.ScheduleData(start+c.hitLat, done, &data)
 			return
@@ -570,7 +350,6 @@ func (c *Cache2P) Fill(at uint64, id isa.LineID, done func(uint64, *[isa.WordsPe
 			c.stats.PartialHits++
 		}
 	}
-	start := c.chargePort(at, id.Tile(), 1, false)
 	c.stats.Misses++
 	c.requestFill(start+c.p.TagLat, id, false, fillTarget{kind: tLine, done8: done})
 }
@@ -580,14 +359,14 @@ func (c *Cache2P) Fill(at uint64, id isa.LineID, done func(uint64, *[isa.WordsPe
 // fill avoids the 512-byte fetch on upper-level writebacks).
 func (c *Cache2P) Writeback(at uint64, id isa.LineID, mask uint8, data [isa.WordsPerLine]uint64) {
 	c.stats.WritebacksIn++
-	if !checkCanonical(c.q, c.p.Name, id) {
+	if !c.checkCanonical(id) {
 		return
 	}
 	start := c.chargePort(at, id.Tile(), 1, true)
 	t := c.ensureTile(start, id.Tile())
 	t.writeLine(id, 0xff, data) // all words valid at the writer; masked ones dirty
 	markLine(t, id, mask != 0)
-	c.touch(t)
+	c.touch(int(t.way))
 }
 
 // Peek implements Backend's synchronous functional-data path: words covered
@@ -624,32 +403,16 @@ func (c *Cache2P) snoopFlush(at uint64, id isa.LineID) int {
 	if t == nil {
 		return 0
 	}
-	n := 0
-	flushRows, flushCols := uint8(0), uint8(0)
+	rows, cols := t.rowDirty, t.colDirty
 	if id.Orient == isa.Row {
-		flushRows = t.rowDirty & (1 << id.Index())
-		flushCols = t.colDirty
+		rows &= 1 << id.Index()
 	} else {
-		flushCols = t.colDirty & (1 << id.Index())
-		flushRows = t.rowDirty
+		cols &= 1 << id.Index()
 	}
-	for r := uint(0); r < isa.LinesPerTile; r++ {
-		if flushRows&(1<<r) != 0 {
-			rid := isa.LineID{Base: t.base + uint64(r)*isa.LineSize, Orient: isa.Row}
-			c.writebackLine(at, t, rid, 0xff)
-			t.rowDirty &^= 1 << r
-			n++
-		}
-	}
-	for col := uint(0); col < isa.LinesPerTile; col++ {
-		if flushCols&(1<<col) != 0 {
-			cid := isa.LineID{Base: t.base + uint64(col)*isa.WordSize, Orient: isa.Col}
-			c.writebackLine(at, t, cid, 0xff)
-			t.colDirty &^= 1 << col
-			n++
-		}
-	}
-	return n
+	c.writebackLines(at, t, rows, cols, 0xff)
+	t.rowDirty &^= rows
+	t.colDirty &^= cols
+	return bits.OnesCount8(rows) + bits.OnesCount8(cols)
 }
 
 // snoopInvalidate implements snooper: a remote core wrote the masked words
@@ -672,18 +435,7 @@ func (c *Cache2P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 	}
 	rows &= t.rowValid
 	cols &= t.colValid
-	for r := uint(0); r < isa.LinesPerTile; r++ {
-		if rows&(1<<r) != 0 && t.rowDirty&(1<<r) != 0 {
-			rid := isa.LineID{Base: t.base + uint64(r)*isa.LineSize, Orient: isa.Row}
-			c.writebackLine(at, t, rid, 0xff)
-		}
-	}
-	for col := uint(0); col < isa.LinesPerTile; col++ {
-		if cols&(1<<col) != 0 && t.colDirty&(1<<col) != 0 {
-			cid := isa.LineID{Base: t.base + uint64(col)*isa.WordSize, Orient: isa.Col}
-			c.writebackLine(at, t, cid, 0xff)
-		}
-	}
+	c.writebackLines(at, t, rows&t.rowDirty, cols&t.colDirty, 0xff)
 	t.rowValid &^= rows
 	t.rowDirty &^= rows
 	t.colValid &^= cols
@@ -693,13 +445,10 @@ func (c *Cache2P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 
 // Occupancy implements Level: counts valid small lines per orientation.
 func (c *Cache2P) Occupancy() (rowLines, colLines int) {
-	for _, set := range c.sets {
-		for i := range set {
-			if !set[i].valid {
-				continue
-			}
-			rowLines += bits.OnesCount8(set[i].rowValid)
-			colLines += bits.OnesCount8(set[i].colValid)
+	for w := range c.tiles {
+		if c.tags[w] != 0 {
+			rowLines += bits.OnesCount8(c.tiles[w].rowValid)
+			colLines += bits.OnesCount8(c.tiles[w].colValid)
 		}
 	}
 	return rowLines, colLines
@@ -707,26 +456,9 @@ func (c *Cache2P) Occupancy() (rowLines, colLines int) {
 
 // Drain implements Level: flush all dirty small lines below.
 func (c *Cache2P) Drain(at uint64) {
-	for _, set := range c.sets {
-		for i := range set {
-			t := &set[i]
-			if !t.valid {
-				continue
-			}
-			for r := uint(0); r < isa.LinesPerTile; r++ {
-				if t.rowDirty&(1<<r) != 0 {
-					id := isa.LineID{Base: t.base + uint64(r)*isa.LineSize, Orient: isa.Row}
-					c.writebackLine(at, t, id, 0xff)
-				}
-			}
-			colMask := ^t.rowDirty
-			for col := uint(0); col < isa.LinesPerTile; col++ {
-				if t.colDirty&(1<<col) != 0 && colMask != 0 {
-					id := isa.LineID{Base: t.base + uint64(col)*isa.WordSize, Orient: isa.Col}
-					c.writebackLine(at, t, id, colMask)
-				}
-			}
-			t.rowDirty, t.colDirty = 0, 0
+	for w := range c.tiles {
+		if c.tags[w] != 0 {
+			c.flushTile(at, &c.tiles[w])
 		}
 	}
 }

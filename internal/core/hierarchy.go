@@ -83,12 +83,7 @@ func Build(cfg Config) (*Machine, error) {
 			if err != nil {
 				return nil, err
 			}
-			switch c := lvl.(type) {
-			case *Cache1P:
-				c.EnableSetArbitration()
-			case *Cache2P:
-				c.EnableSetArbitration()
-			}
+			lvl.ctl().EnableSetArbitration()
 			shared[i-1] = lvl
 			below = lvl
 		}
@@ -104,17 +99,8 @@ func Build(cfg Config) (*Machine, error) {
 			if err != nil {
 				return nil, err
 			}
-			sn, ok := lvl.(snooper)
-			if !ok {
-				return nil, fmt.Errorf("core: L1 level %T cannot snoop", lvl)
-			}
-			switch c := lvl.(type) {
-			case *Cache1P:
-				c.onWrite = port.storeSnoop
-			case *Cache2P:
-				c.onWrite = port.storeSnoop
-			}
-			hub.l1s = append(hub.l1s, sn)
+			lvl.ctl().onWrite = port.storeSnoop
+			hub.l1s = append(hub.l1s, lvl)
 			l1s[i] = lvl
 			cpu := NewCPU(q, lvl, cfg.Window)
 			cpu.coreID = i
@@ -148,7 +134,15 @@ func Build(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-func buildLevel(q *sim.EventQueue, d Design, p CacheParams, isLLC bool, below Backend) (Level, error) {
+// cacheLevel is a level built by buildLevel: a line or tile array over the
+// shared controller.
+type cacheLevel interface {
+	Level
+	snooper
+	ctl() *cacheCtl
+}
+
+func buildLevel(q *sim.EventQueue, d Design, p CacheParams, isLLC bool, below Backend) (cacheLevel, error) {
 	switch d {
 	case D0Baseline:
 		return NewCache1P(q, p, false, below)

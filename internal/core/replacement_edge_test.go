@@ -4,8 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"mdacache/internal/isa"
 	"mdacache/internal/sim"
 )
+
+// setWays writes set 0's tags and replacement state: way i is valid iff
+// valid[i], last used at 100+i and at the SRRIP eviction threshold.
+func setWays(c *Cache1P, valid ...bool) {
+	for i, v := range valid {
+		c.tags[i] = 0
+		if v {
+			c.tags[i] = uint64(i+1)*isa.LineSize | tagValid
+		}
+		c.meta[i] = wayMeta{lastUse: uint64(100 + i), rrpv: srripMax}
+	}
+}
 
 // TestVictimPrefersInvalidWays drives victim() directly over hand-built
 // sets: invalid ways must always win, regardless of policy and of how
@@ -15,56 +28,37 @@ func TestVictimPrefersInvalidWays(t *testing.T) {
 		repl := repl
 		t.Run(repl.String(), func(t *testing.T) {
 			_, c := cacheWithRepl(t, repl)
-			mk := func(valid ...bool) []line {
-				set := make([]line, len(valid))
-				for i, v := range valid {
-					set[i].valid = v
-					set[i].lastUse = uint64(100 + i)
-					set[i].rrpv = srripMax // every valid way is evictable
-				}
-				return set
-			}
 			// All-invalid set (a fresh cache): first way.
-			set := mk(false, false, false, false)
-			if got := c.victim(set); got != &set[0] {
-				t.Errorf("all-invalid: picked way %d, want 0", wayIndex(set, got))
+			setWays(c, false, false, false, false)
+			if got := c.victim(0); got != 0 {
+				t.Errorf("all-invalid: picked way %d, want 0", got)
 			}
 			// Mixed: the single invalid way wins even though way 0 is the
 			// policy's natural pick.
-			set = mk(true, true, false, true)
-			set[0].lastUse = 1 // LRU's pick if only valid ways counted
-			if got := c.victim(set); got != &set[2] {
-				t.Errorf("mixed: picked way %d, want invalid way 2", wayIndex(set, got))
+			setWays(c, true, true, false, true)
+			c.meta[0].lastUse = 1 // LRU's pick if only valid ways counted
+			if got := c.victim(0); got != 2 {
+				t.Errorf("mixed: picked way %d, want invalid way 2", got)
 			}
 		})
 	}
-}
-
-func wayIndex(set []line, l *line) int {
-	for i := range set {
-		if &set[i] == l {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestVictimLRUTieBreak pins the deterministic tie-break: equal lastUse
 // resolves to the lowest way (strict less-than scan from way 0).
 func TestVictimLRUTieBreak(t *testing.T) {
 	_, c := cacheWithRepl(t, ReplLRU)
-	set := make([]line, 4)
-	for i := range set {
-		set[i].valid = true
-		set[i].lastUse = 7 // all equal
+	setWays(c, true, true, true, true)
+	for i := 0; i < 4; i++ {
+		c.meta[i].lastUse = 7 // all equal
 	}
-	if got := c.victim(set); got != &set[0] {
-		t.Errorf("tie: picked way %d, want 0", wayIndex(set, got))
+	if got := c.victim(0); got != 0 {
+		t.Errorf("tie: picked way %d, want 0", got)
 	}
 	// A strictly older way beats the tie group wherever it sits.
-	set[2].lastUse = 3
-	if got := c.victim(set); got != &set[2] {
-		t.Errorf("older way: picked way %d, want 2", wayIndex(set, got))
+	c.meta[2].lastUse = 3
+	if got := c.victim(0); got != 2 {
+		t.Errorf("older way: picked way %d, want 2", got)
 	}
 }
 
@@ -73,19 +67,16 @@ func TestVictimLRUTieBreak(t *testing.T) {
 // way 0 — so the first way to reach srripMax wins.
 func TestVictimSRRIPAges(t *testing.T) {
 	_, c := cacheWithRepl(t, ReplSRRIP)
-	set := make([]line, 4)
-	for i := range set {
-		set[i].valid = true
-	}
-	set[0].rrpv, set[1].rrpv, set[2].rrpv, set[3].rrpv = 0, 2, 1, 2
-	v := c.victim(set)
+	setWays(c, true, true, true, true)
+	c.meta[0].rrpv, c.meta[1].rrpv, c.meta[2].rrpv, c.meta[3].rrpv = 0, 2, 1, 2
+	v := c.victim(0)
 	// Ways 1 and 3 reach srripMax after one aging pass; way 1 is scanned
 	// first.
-	if v != &set[1] {
-		t.Fatalf("picked way %d, want 1", wayIndex(set, v))
+	if v != 1 {
+		t.Fatalf("picked way %d, want 1", v)
 	}
-	if set[0].rrpv != 1 || set[2].rrpv != 2 {
-		t.Errorf("aging: rrpv = [%d _ %d _], want [1 _ 2 _]", set[0].rrpv, set[2].rrpv)
+	if c.meta[0].rrpv != 1 || c.meta[2].rrpv != 2 {
+		t.Errorf("aging: rrpv = [%d _ %d _], want [1 _ 2 _]", c.meta[0].rrpv, c.meta[2].rrpv)
 	}
 }
 
@@ -149,11 +140,11 @@ func TestSRRIPInsertAndPromoteValues(t *testing.T) {
 	id := conflictLine(c, 0)
 	access(t, q, c, vectorLoad(id))
 	l := c.find(id)
-	if l == nil || l.rrpv != srripInsertRRPV {
-		t.Fatalf("after fill: rrpv = %v, want %d", l, srripInsertRRPV)
+	if l == nil || c.meta[l.way].rrpv != srripInsertRRPV {
+		t.Fatalf("after fill: line %v, want rrpv %d", l, srripInsertRRPV)
 	}
 	access(t, q, c, vectorLoad(id))
-	if l.rrpv != 0 {
-		t.Fatalf("after hit: rrpv = %d, want 0", l.rrpv)
+	if c.meta[l.way].rrpv != 0 {
+		t.Fatalf("after hit: rrpv = %d, want 0", c.meta[l.way].rrpv)
 	}
 }
