@@ -10,26 +10,37 @@
 package mdacache
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"mdacache/internal/compiler"
 	"mdacache/internal/core"
 	"mdacache/internal/experiments"
-	"mdacache/internal/isa"
-	"mdacache/internal/workloads"
+	"mdacache/internal/perf"
 )
 
 const (
-	benchScale = 8
-	benchN     = 512 / benchScale
-	benchSmall = 256 / benchScale
+	benchScale = perf.Scale
+	benchN     = perf.N
 )
 
-// benches is the subset used for per-figure averages in benchmark mode;
+// benchSubset is the subset used for per-figure averages in benchmark mode;
 // sgemm and strmm bound the BLAS behaviours, sobel is the column-extreme,
 // htap2 the row-heavy mix.
 var benchSubset = []string{"sgemm", "strmm", "sobel", "htap2"}
+
+// runScenarios runs the perf scenario named fig, or each scenario named
+// fig/<sub> as sub-benchmark <sub>: Table I, Figs. 10–13 and the simulator
+// throughput have one definition, shared with mdabench's baselines.
+func runScenarios(b *testing.B, fig string) {
+	for _, sc := range perf.Scenarios() {
+		if sc.Name == fig {
+			sc.Fn(b)
+		} else if sub, ok := strings.CutPrefix(sc.Name, fig+"/"); ok {
+			b.Run(sub, sc.Fn)
+		}
+	}
+}
 
 func runSpec(b *testing.B, spec experiments.RunSpec) *core.Results {
 	b.Helper()
@@ -49,94 +60,28 @@ func normCycles(b *testing.B, bench string, d core.Design, llc int) float64 {
 
 // BenchmarkTable1Config exercises the Table I configuration build for every
 // design point (the configuration table itself).
-func BenchmarkTable1Config(b *testing.B) {
-	designs := []core.Design{core.D0Baseline, core.D1DiffSet, core.D1SameSet, core.D2Sparse, core.D2Dense, core.D3AllTile}
-	for i := 0; i < b.N; i++ {
-		for _, d := range designs {
-			cfg := core.DefaultConfig(d, 1*core.MB).Scale(benchScale)
-			if err := cfg.Validate(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.Build(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
+func BenchmarkTable1Config(b *testing.B) { runScenarios(b, "Table1Config") }
 
 // BenchmarkFig10AccessMix regenerates the access-type distribution and
 // reports the suite's column share of data volume.
-func BenchmarkFig10AccessMix(b *testing.B) {
-	for _, bench := range benchSubset {
-		b.Run(bench, func(b *testing.B) {
-			var col float64
-			for i := 0; i < b.N; i++ {
-				mix, err := mixOf(bench)
-				if err != nil {
-					b.Fatal(err)
-				}
-				col = mix.ColShare()
-			}
-			b.ReportMetric(100*col, "%col-volume")
-		})
-	}
-}
+func BenchmarkFig10AccessMix(b *testing.B) { runScenarios(b, "Fig10AccessMix") }
 
 // BenchmarkFig11L1HitRate reports L1 hit rate normalized to the baseline
 // (paper: 1.12 average for 1P2L).
-func BenchmarkFig11L1HitRate(b *testing.B) {
-	for _, bench := range benchSubset {
-		b.Run(bench, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				base := runSpec(b, experiments.RunSpec{Bench: bench, N: benchN, Design: core.D0Baseline, LLCBytes: core.MB})
-				r := runSpec(b, experiments.RunSpec{Bench: bench, N: benchN, Design: core.D1DiffSet, LLCBytes: core.MB})
-				ratio = r.L1().HitRate() / base.L1().HitRate()
-			}
-			b.ReportMetric(ratio, "L1hit/base")
-		})
-	}
-}
+func BenchmarkFig11L1HitRate(b *testing.B) { runScenarios(b, "Fig11L1HitRate") }
 
 // BenchmarkFig12NormalizedCycles reports execution time normalized to the
 // prefetching baseline per design and LLC size (paper: 0.28–0.36 average
 // at 1 MB).
-func BenchmarkFig12NormalizedCycles(b *testing.B) {
-	for _, d := range []core.Design{core.D1DiffSet, core.D1SameSet, core.D2Sparse} {
-		for _, llc := range []int{1 * core.MB, 2 * core.MB} {
-			name := fmt.Sprintf("%v/LLC%dMB", d, llc/core.MB)
-			b.Run(name, func(b *testing.B) {
-				var sum float64
-				for i := 0; i < b.N; i++ {
-					sum = 0
-					for _, bench := range benchSubset {
-						sum += normCycles(b, bench, d, llc)
-					}
-				}
-				b.ReportMetric(sum/float64(len(benchSubset)), "cycles/base")
-			})
-		}
-	}
-}
+func BenchmarkFig12NormalizedCycles(b *testing.B) { runScenarios(b, "Fig12NormalizedCycles") }
 
 // BenchmarkFig13CacheResident reports the cache-resident (small input,
 // 2 MB two-level) normalized cycles (paper: 0.86 / 0.84).
-func BenchmarkFig13CacheResident(b *testing.B) {
-	for _, d := range []core.Design{core.D1DiffSet, core.D2Sparse} {
-		b.Run(d.String(), func(b *testing.B) {
-			var sum float64
-			for i := 0; i < b.N; i++ {
-				sum = 0
-				for _, bench := range benchSubset {
-					base := runSpec(b, experiments.RunSpec{Bench: bench, N: benchSmall, Design: core.D0Baseline, LLCBytes: 2 * core.MB, TwoLevel: true})
-					r := runSpec(b, experiments.RunSpec{Bench: bench, N: benchSmall, Design: d, LLCBytes: 2 * core.MB, TwoLevel: true})
-					sum += float64(r.Cycles) / float64(base.Cycles)
-				}
-			}
-			b.ReportMetric(sum/float64(len(benchSubset)), "cycles/base")
-		})
-	}
-}
+func BenchmarkFig13CacheResident(b *testing.B) { runScenarios(b, "Fig13CacheResident") }
+
+// BenchmarkSimulatorThroughput measures raw simulation speed (ops/sec) —
+// the engineering metric bounding full-scale runs.
+func BenchmarkSimulatorThroughput(b *testing.B) { runScenarios(b, "SimulatorThroughput") }
 
 // BenchmarkFig14Traffic reports LLC accesses and LLC↔memory bytes
 // normalized to the baseline (paper: 0.22 accesses, 0.21 bytes for 1P2L).
@@ -242,30 +187,3 @@ func BenchmarkExtensionDesign3(b *testing.B) {
 	}
 	b.ReportMetric(ratio, "cycles/base")
 }
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (ops/sec) —
-// the engineering metric bounding full-scale runs.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var ops uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := runSpec(b, experiments.RunSpec{Bench: "strmm", N: benchN, Design: core.D1DiffSet, LLCBytes: core.MB})
-		ops += r.Ops
-	}
-	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
-}
-
-// mixOf compiles a benchmark for the 2-D target and returns its access mix.
-func mixOf(bench string) (compiler.Mix, error) {
-	kern, err := workloads.Build(bench, benchN)
-	if err != nil {
-		return compiler.Mix{}, err
-	}
-	prog, err := compiler.Compile(kern, compiler.Target{Logical2D: true})
-	if err != nil {
-		return compiler.Mix{}, err
-	}
-	return prog.MeasureMix(), nil
-}
-
-var _ = isa.LineSize // keep isa linked for doc reference

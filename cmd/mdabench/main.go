@@ -331,8 +331,9 @@ func main() {
 }
 
 // runBench records a performance baseline of the simulator itself (see
-// internal/perf and the "Benchmarking" section of EXPERIMENTS.md). The
-// scenario set mirrors the root bench_test.go figures; the JSON artifact is
+// internal/perf and the "Benchmarking" section of EXPERIMENTS.md). The root
+// bench_test.go runs the same scenarios as its Table I, Fig. 10–13 and
+// SimulatorThroughput benchmarks; the JSON artifact is
 // the committed BENCH_<n>.json trajectory.
 func runBench(out, suite, baseline string, strict bool) {
 	// Benchmarking is minutes of silence without progress lines; always

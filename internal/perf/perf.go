@@ -1,6 +1,7 @@
 // Package perf records machine-readable performance baselines of the
-// simulator itself. It mirrors the root bench_test.go scenarios (one per
-// paper figure) as programmatically-runnable benchmarks, so `mdabench
+// simulator itself. Its scenarios (one per paper figure) are the bodies of
+// the root bench_test.go's Table I, Fig. 10–13 and SimulatorThroughput
+// benchmarks, runnable programmatically, so `mdabench
 // -bench-out BENCH_<n>.json` can pin the engine's wall-clock trajectory:
 // every performance PR commits a pre-change and a post-change baseline, and
 // Compare reports the per-scenario and geometric-mean speedups between any
@@ -27,7 +28,8 @@ import (
 	"mdacache/internal/workloads"
 )
 
-// Scale mirrors bench_test.go's benchScale: matrix dims ÷8, capacities ÷64.
+// Scale is the benchmark scale (bench_test.go uses it too): matrix dims ÷8,
+// capacities ÷64.
 const (
 	Scale = 8
 	N     = 512 / Scale
@@ -35,7 +37,7 @@ const (
 )
 
 // subset is the benchmark subset used for per-figure averages (identical to
-// bench_test.go's benchSubset).
+// bench_test.go's benchSubset for Figs. 14–17).
 var subset = []string{"sgemm", "strmm", "sobel", "htap2"}
 
 // Scenario is one measurable unit: a named benchmark body. Quick scenarios
@@ -81,9 +83,10 @@ func runSpec(b *testing.B, spec experiments.RunSpec) *core.Results {
 	return res
 }
 
-// Scenarios returns the suite in fixed order. Names match the root
-// bench_test.go benchmarks (minus the "Benchmark" prefix) so benchstat can
-// line the two sources up.
+// Scenarios returns the suite in fixed order. Names are those of the root
+// bench_test.go benchmarks that run them, minus the "Benchmark" prefix, so
+// benchstat can line the two sources up (RequestThroughput/kv runs only
+// here).
 func Scenarios() []Scenario {
 	var s []Scenario
 	s = append(s, Scenario{Name: "Table1Config", Quick: true, Fn: benchTable1})
@@ -138,8 +141,7 @@ func benchFig10(bench string) func(b *testing.B) {
 	}
 }
 
-// mixOf compiles a benchmark for the 2-D target and returns its access mix
-// (mirrors the root bench_test.go helper).
+// mixOf compiles a benchmark for the 2-D target and returns its access mix.
 func mixOf(bench string) (compiler.Mix, error) {
 	kern, err := workloads.Build(bench, N)
 	if err != nil {
