@@ -117,10 +117,11 @@ func TestMultiCoreMachinesDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoresOneMatchesLegacySingleCore guards the conformance mode: a machine
-// built with Cores=1 must produce bit-identical Results — cycles, per-level
-// stats, and the full metric snapshot — to the legacy Cores=0 (unset) single
-// CPU engine, for every design.
+// TestCoresOneMatchesLegacySingleCore pins that an unset core count means
+// one core: a machine built with Cores=0 must produce bit-identical Results
+// — cycles, per-level stats, and the full metric snapshot — to one built
+// with Cores=1, for every design. (The name dates from when Cores=0 had a
+// wiring of its own; it is kept so the test's history stays continuous.)
 func TestCoresOneMatchesLegacySingleCore(t *testing.T) {
 	for _, d := range []Design{D0Baseline, D1DiffSet, D1SameSet, D2Sparse, D2Dense, D3AllTile} {
 		d := d
@@ -136,9 +137,9 @@ func TestCoresOneMatchesLegacySingleCore(t *testing.T) {
 				}
 				return mustRun(t, m, isa.NewSliceTrace(ops))
 			}
-			legacy, one := run(0), run(1)
-			if !reflect.DeepEqual(legacy, one) {
-				t.Fatalf("Cores=1 diverged from the legacy single-CPU engine:\n %+v\nvs %+v", legacy, one)
+			unset, one := run(0), run(1)
+			if !reflect.DeepEqual(unset, one) {
+				t.Fatalf("Cores=0 (unset) diverged from Cores=1:\n %+v\nvs %+v", unset, one)
 			}
 		})
 	}

@@ -25,7 +25,7 @@ func (s *stuckLevel) Stats() *LevelStats                                { return
 func (s *stuckLevel) Drain(uint64)                                      {}
 func (s *stuckLevel) MSHRInFlight() int                                 { return 3 }
 
-// stuckMachine wires a real machine, then replaces its L1 with a level that
+// stuckMachine wires a real machine, then points its CPU at a level that
 // drops every access on the floor.
 func stuckMachine(t *testing.T) *Machine {
 	t.Helper()
@@ -36,7 +36,7 @@ func stuckMachine(t *testing.T) *Machine {
 	lvl := &stuckLevel{}
 	lvl.stats.Name = "L1"
 	m.Levels[0] = lvl
-	m.CPU = NewCPU(m.Q, lvl, m.Cfg.Window)
+	m.CPU.l1 = lvl
 	return m
 }
 
