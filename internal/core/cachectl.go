@@ -240,6 +240,22 @@ func (c *cacheCtl) checkCanonical(id isa.LineID) bool {
 	return true
 }
 
+// hit counts a demand hit on block line id and traces it.
+func (c *cacheCtl) hit(at uint64, id isa.LineID) {
+	c.stats.Hits++
+	if c.tr != nil {
+		c.traceEv(at, "hit", id, 0)
+	}
+}
+
+// miss counts a demand miss on line id and traces it.
+func (c *cacheCtl) miss(at uint64, id isa.LineID) {
+	c.stats.Misses++
+	if c.tr != nil {
+		c.traceEv(at, "miss", id, 0)
+	}
+}
+
 // countAccess counts one demand access from above.
 func (c *cacheCtl) countAccess(op isa.Op) {
 	c.stats.Accesses++
