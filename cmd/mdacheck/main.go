@@ -40,7 +40,7 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "check exactly this seed (overrides -n)")
 		n        = flag.Int("n", 256, "number of corpus seeds to check (seeds 0..n-1)")
 		designs  = flag.String("designs", "paper", "design set: paper (1P1L,1P2L,1P2L_SameSet,2P2L) or all (+2P2L_Dense,2P2L_L1)")
-		cores    = flag.String("cores", "1", "comma-separated core counts to check (1 = single-core harness, >1 = shared-hierarchy harness)")
+		cores    = flag.String("cores", "1", "comma-separated core counts to check (1 = the single-core trace corpus, >1 = contended per-core streams on a shared hierarchy)")
 		faults   = flag.String("faults", "auto", "fault injection: auto (per-seed), on, off")
 		breakCoh = flag.Bool("break-coherence", false, "disable duplicate-coherence eviction (verifies the harness catches it)")
 		breakSnp = flag.Bool("break-snoop", false, "disable cross-core snoop invalidation (verifies the multi-core harness catches it)")
@@ -101,43 +101,31 @@ sweep:
 	for _, nc := range coreCounts {
 		for _, s := range seeds {
 			checked++
-			if *workload != "" {
+			var f *check.Failure
+			switch {
+			case *workload != "":
 				spec := check.RequestSpecForSeed(*workload, s, nc)
 				if *verbose {
 					fmt.Printf("mdacheck: %v\n", spec)
 				}
-				f, err := check.CheckRequestSeed(*workload, s, nc, opt)
-				if err != nil {
+				var err error
+				if f, err = check.CheckRequest(spec, opt); err != nil {
 					usagef("%v", err)
 				}
-				if f != nil {
-					fmt.Print(f)
-					failures++
-					if failures >= *maxFail {
-						break sweep
-					}
-				}
-				continue
-			}
-			if nc <= 1 {
+			case nc == 1:
 				spec := check.SpecForSeed(s)
 				if *verbose {
 					fmt.Printf("mdacheck: cores=1 %v\n", spec)
 				}
-				if f := check.CheckSpec(spec, opt); f != nil {
-					fmt.Print(f)
-					failures++
-					if failures >= *maxFail {
-						break sweep
-					}
+				f = check.CheckSpec(spec, opt)
+			default:
+				spec := check.MCSpecForSeed(s, nc)
+				if *verbose {
+					fmt.Printf("mdacheck: %v\n", spec)
 				}
-				continue
+				f = check.CheckMCSpec(spec, opt)
 			}
-			spec := check.MCSpecForSeed(s, nc)
-			if *verbose {
-				fmt.Printf("mdacheck: %v\n", spec)
-			}
-			if f := check.CheckMCSpec(spec, opt); f != nil {
+			if f != nil {
 				fmt.Print(f)
 				failures++
 				if failures >= *maxFail {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mdacache/internal/core"
@@ -79,55 +80,89 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] %s: %s", v.Design, v.Kind, v.Msg)
 }
 
-// Failure describes a failing seed: the (possibly shrunk) trace and the
-// violations it produces. Repro prints the one-line reproduction command.
+// Spec is a conformance case's generator spec: GenSpec (one core running
+// the harness's own patterns), MCSpec (contended cores) or RequestSpec
+// (request workloads). Each derives from a seed and reproduces with one
+// mdacheck command.
+type Spec interface {
+	fmt.Stringer
+	// Repro returns the copy-pasteable mdacheck command for the case.
+	Repro() string
+	// rig returns the machine parameters the case is checked on.
+	rig() Rig
+	// title heads the case's failure report.
+	title() string
+}
+
+// Rig holds the machine parameters a case is checked on. Generated specs
+// derive one; hand-written streams may use the zero Rig.
+type Rig struct {
+	Seed       uint64 // fault-injection seed source
+	CfgVariant int    // core.SmallConfig variant (0 roomy, 1 tight)
+	Faults     bool   // inject transient write faults (see Options.Faults)
+}
+
+// Failure describes a failing seed: its spec, the (possibly shrunk)
+// core-tagged schedule and the violations it produces.
 type Failure struct {
-	Spec       GenSpec
-	Ops        []isa.Op // shrunk trace (or full trace with Options.NoShrink)
+	Spec       Spec
+	Cores      int
+	Ops        []MCOp // shrunk schedule (or full schedule with Options.NoShrink)
 	Shrunk     bool
 	Violations []Violation
 }
 
 // Repro returns the copy-pasteable command that reproduces this failure.
-func (f *Failure) Repro() string {
-	return fmt.Sprintf("mdacheck -seed %#x", f.Spec.Seed)
+func (f *Failure) Repro() string { return f.Spec.Repro() }
+
+// CoresTouched returns how many distinct cores the schedule spans — a shrunk
+// witness for a genuine cross-core bug must touch at least two.
+func (f *Failure) CoresTouched() int {
+	seen := make(map[int]bool)
+	for _, mo := range f.Ops {
+		seen[mo.Core] = true
+	}
+	return len(seen)
 }
 
-// String renders the failure report: spec, repro line, violations, trace.
+// String renders the failure report: spec, repro line, violations, and the
+// trace (one core) or schedule (several).
 func (f *Failure) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "conformance failure: %s\n", f.Spec)
+	fmt.Fprintf(&b, "%s: %s\n", f.Spec.title(), f.Spec)
 	fmt.Fprintf(&b, "reproduce with: %s\n", f.Repro())
 	for _, v := range f.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)
 	}
-	label := "shrunk trace"
-	if !f.Shrunk {
-		label = "trace"
+	label, touched := "trace", ""
+	if f.Cores > 1 {
+		label, touched = "schedule", fmt.Sprintf(", %d cores touched", f.CoresTouched())
 	}
-	fmt.Fprintf(&b, "%s (%d ops):\n", label, len(f.Ops))
-	for i, op := range f.Ops {
-		fmt.Fprintf(&b, "  %3d: %v", i, op)
-		if op.Kind == isa.Store {
-			fmt.Fprintf(&b, " value=%d", op.Value)
+	if f.Shrunk {
+		label = "shrunk " + label
+	}
+	fmt.Fprintf(&b, "%s (%d ops%s):\n", label, len(f.Ops), touched)
+	for i, mo := range f.Ops {
+		fmt.Fprintf(&b, "  %3d: core%d %v", i, mo.Core, mo.Op)
+		if mo.Op.Kind == isa.Store {
+			fmt.Fprintf(&b, " value=%d", mo.Op.Value)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// designsFor returns opt.Designs filtered for applicability to ops: the
-// row-only baseline is dropped when the trace contains column ops.
-func designsFor(ops []isa.Op, opt Options) []core.Design {
+// designsFor returns opt.Designs filtered for applicability to the streams:
+// the row-only baseline is dropped when any stream contains column ops.
+func designsFor(streams [][]isa.Op, opt Options) []core.Design {
 	ds := opt.Designs
 	if ds == nil {
 		ds = PaperDesigns
 	}
 	hasCol := false
-	for _, op := range ops {
-		if op.Orient == isa.Col {
-			hasCol = true
-			break
+	for _, ops := range streams {
+		for _, op := range ops {
+			hasCol = hasCol || op.Orient == isa.Col
 		}
 	}
 	if !hasCol {
@@ -142,35 +177,35 @@ func designsFor(ops []isa.Op, opt Options) []core.Design {
 	return out
 }
 
-// faultsEnabled resolves the effective fault setting for a spec.
-func faultsEnabled(spec GenSpec, opt Options) bool {
-	switch opt.Faults {
+// faults resolves the effective fault setting for a case whose rig asks
+// for specFaults.
+func (o Options) faults(specFaults bool) bool {
+	switch o.Faults {
 	case FaultOff:
 		return false
 	case FaultOn:
 		return true
 	}
-	return spec.Faults
+	return specFaults
 }
 
-// CheckOps replays ops on every applicable design and returns all invariant
-// violations (empty ⇒ the trace conforms). spec supplies the machine
-// parameters (config variant, fault seed); spec.Pattern/Ops/Tiles are not
-// consulted, so callers may pass hand-written traces with a zero-value spec.
-func CheckOps(ops []isa.Op, spec GenSpec, opt Options) []Violation {
-	annotated := Annotate(ops)
-	_, final := Replay(ops)
+// CheckStreams runs the per-core streams (core c executes streams[c]) on
+// every applicable design and returns all invariant violations (empty ⇒ the
+// case conforms). One stream checks a single-core machine; several check
+// private L1s contending over a coherent shared L2/LLC.
+func CheckStreams(streams [][]isa.Op, rig Rig, opt Options) []Violation {
 	var out []Violation
-	for _, d := range designsFor(ops, opt) {
-		out = append(out, checkDesign(d, annotated, final, spec, opt)...)
+	for _, d := range designsFor(streams, opt) {
+		out = append(out, checkDesign(d, streams, rig, opt)...)
 	}
 	return out
 }
 
-// checkDesign runs one design over the annotated trace and checks every
-// invariant: load values, final memory image (both directions), and metric
-// conservation identities.
-func checkDesign(d core.Design, annotated []isa.Op, final map[uint64]uint64, spec GenSpec, opt Options) []Violation {
+// checkDesign runs one design over the streams and checks every invariant:
+// per-load oracle values (via a shared reference model applied in true
+// global issue order), the drained final memory image in both directions,
+// and per-core plus per-level metric conservation identities.
+func checkDesign(d core.Design, streams [][]isa.Op, rig Rig, opt Options) []Violation {
 	var vio []Violation
 	add := func(kind, format string, args ...interface{}) {
 		if len(vio) < maxViolationsPerDesign {
@@ -178,48 +213,76 @@ func checkDesign(d core.Design, annotated []isa.Op, final map[uint64]uint64, spe
 		}
 	}
 
-	cfg := core.SmallConfig(d, spec.CfgVariant)
+	faults := opt.faults(rig.Faults)
+	cfg := core.SmallConfig(d, rig.CfgVariant)
+	cfg.Cores = len(streams)
 	cfg.MaxCycles = checkMaxCycles
-	if faultsEnabled(spec, opt) {
+	if faults {
 		cfg.Mem.WriteFailProb = 0.05
-		cfg.Mem.FaultSeed = spec.Seed ^ 0xfa017
+		cfg.Mem.FaultSeed = rig.Seed ^ 0xfa017
 	}
 	if opt.BreakCoherence {
 		cfg.L1.BreakDupCoherence = true
 		cfg.L2.BreakDupCoherence = true
 		cfg.L3.BreakDupCoherence = true
 	}
+	cfg.BreakSnoopCoherence = opt.BreakSnoop
 	m, err := core.Build(cfg)
 	if err != nil {
 		add("run-error", "build: %v", err)
 		return vio
 	}
 
-	// Invariant 1 — load values: every completed load returns exactly the
-	// program-order reference value carried in op.Value. Because the CPU's
-	// overlap-ordering rule guarantees loads observe the program-order-latest
-	// store, this single check also subsumes MSHR per-address ordering: any
-	// reordering that lets a load bypass an older same-word store surfaces as
-	// a value mismatch here.
-	m.CPU.OnLoad = func(op isa.Op, value uint64) {
-		if value != op.Value {
-			add("load-value", "%v returned %d, want %d", op, value, op.Value)
+	// Invariant 1 — load values. One reference model is shared by all cores
+	// and advanced from each CPU's OnIssue hook, i.e. in the machine's true
+	// global issue order (program order on one core). The overlap-ordering
+	// rule serializes conflicting ops machine-wide (a conflicting op cannot
+	// issue until the in-flight op completes), and non-conflicting ops touch
+	// disjoint words, so the reference value attached to each load at issue
+	// is exact. OnLoad then compares the completed value against that
+	// annotation. This single check also subsumes MSHR per-address ordering:
+	// any reordering that lets a load bypass an older same-word store
+	// surfaces as a value mismatch.
+	ref := NewRefModel()
+	for _, cpu := range m.CPUs {
+		who := cpu.Name()
+		cpu.OnIssue = func(op isa.Op) isa.Op {
+			v := ref.Apply(op)
+			if op.Kind == isa.Load {
+				op.Value = v
+			}
+			return op
+		}
+		cpu.OnLoad = func(op isa.Op, value uint64) {
+			if value != op.Value {
+				add("load-value", "%s: %v returned %d, want %d", who, op, value, op.Value)
+			}
 		}
 	}
-	res, err := m.Run(isa.NewSliceTrace(annotated))
+	traces := make([]isa.TraceReader, len(streams))
+	for c, s := range streams {
+		traces[c] = isa.NewSliceTrace(s)
+	}
+	res, err := m.RunTraces(traces...)
 	if err != nil {
 		add("run-error", "%v", err)
 		return vio
 	}
 
-	// Invariant 2 — final memory image, checked in both directions after a
-	// full drain: every reference word must be in memory (stale write-backs,
-	// lost dirty bits), and every non-zero memory word must be in the
-	// reference (ghost writes).
+	// Invariant 2 — final memory image after a full drain, both directions:
+	// every reference word must be in memory (lost write-backs, lost dirty
+	// bits, dropped invalidations) and every non-zero memory word must be in
+	// the reference (ghost writes).
 	m.DrainAll()
+	final := ref.Final()
 	store := m.Memory.Store()
-	for addr, want := range final {
-		if got := store.ReadWord(addr); got != want {
+	addrs := make([]uint64, 0, len(final))
+	for addr := range final {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs) // a fixed report order for a given failure
+	for _, addr := range addrs {
+		if got, want := store.ReadWord(addr), final[addr]; got != want {
 			add("final-image", "memory[%#x] = %d after drain, want %d", addr, got, want)
 		}
 	}
@@ -229,16 +292,28 @@ func checkDesign(d core.Design, annotated []isa.Op, final map[uint64]uint64, spe
 		}
 	})
 
-	// Invariant 3 — metric conservation identities over the obs snapshot.
+	// Invariant 3 — conservation identities over the obs snapshot, per core
+	// and per level: each core retires exactly its stream, and every level
+	// (the private L1s plus the shared levels) satisfies the accounting
+	// identities. Counter names come from the built machine.
 	snap := res.Metrics
 	counter := func(name string) uint64 {
 		v, _ := snap.Counter(name)
 		return v
 	}
-	if got := counter("cpu.ops"); got != uint64(len(annotated)) {
-		add("metrics", "cpu.ops = %d, want %d", got, len(annotated))
+	total := 0
+	for c, cpu := range m.CPUs {
+		total += len(streams[c])
+		name := cpu.Name() + ".ops"
+		if got := counter(name); got != uint64(len(streams[c])) {
+			add("metrics", "%s = %d, want %d", name, got, len(streams[c]))
+		}
 	}
-	for _, lvl := range []string{"l1", "l2", "l3"} {
+	if got := snap.SumCounters(".ops"); got < uint64(total) {
+		add("metrics", "sum of per-core ops %d < total scheduled ops %d", got, total)
+	}
+	for _, l := range m.Levels {
+		lvl := strings.ToLower(l.Stats().Name)
 		acc := counter(lvl + ".accesses")
 		if h, mi := counter(lvl+".hits"), counter(lvl+".misses"); h+mi != acc {
 			add("metrics", "%s: hits %d + misses %d != accesses %d", lvl, h, mi, acc)
@@ -273,7 +348,7 @@ func checkDesign(d core.Design, annotated []isa.Op, final map[uint64]uint64, spe
 			add("metrics", "baseline issued %d column memory writes", c)
 		}
 	}
-	if !faultsEnabled(spec, opt) {
+	if !faults {
 		if f := counter("mem.write_retries"); f != 0 {
 			add("metrics", "write retries %d with fault injection off", f)
 		}
@@ -281,25 +356,30 @@ func checkDesign(d core.Design, annotated []isa.Op, final map[uint64]uint64, spe
 	return vio
 }
 
-// CheckSpec generates the trace for spec, checks it, and — on failure —
-// shrinks it to a locally-minimal failing trace. Returns nil when every
-// invariant holds.
-func CheckSpec(spec GenSpec, opt Options) *Failure {
-	ops := Generate(spec)
-	vio := CheckOps(ops, spec, opt)
+// checkCase checks one case's per-core streams and — on failure — shrinks
+// the core-tagged schedule to a locally-minimal failing witness. Returns nil
+// when every invariant holds.
+func checkCase(spec Spec, streams [][]isa.Op, opt Options) *Failure {
+	rig, cores := spec.rig(), len(streams)
+	vio := CheckStreams(streams, rig, opt)
 	if len(vio) == 0 {
 		return nil
 	}
-	f := &Failure{Spec: spec, Ops: ops, Violations: vio}
+	f := &Failure{Spec: spec, Cores: cores, Ops: FlattenMC(streams), Violations: vio}
 	if !opt.NoShrink {
-		shrunk := ShrinkOps(ops, func(cand []isa.Op) bool {
-			return len(CheckOps(cand, spec, opt)) > 0
+		f.Ops = ShrinkMCOps(f.Ops, func(cand []MCOp) bool {
+			return len(CheckStreams(SplitMC(cand, cores), rig, opt)) > 0
 		})
-		f.Ops = shrunk
 		f.Shrunk = true
-		f.Violations = CheckOps(shrunk, spec, opt)
+		f.Violations = CheckStreams(SplitMC(f.Ops, cores), rig, opt)
 	}
 	return f
+}
+
+// CheckSpec generates the single-core trace for spec and checks it,
+// shrinking it on failure. Returns nil when every invariant holds.
+func CheckSpec(spec GenSpec, opt Options) *Failure {
+	return checkCase(spec, [][]isa.Op{Generate(spec)}, opt)
 }
 
 // CheckSeed derives the spec for seed and checks it. The corpus convention:

@@ -60,6 +60,13 @@ type GenSpec struct {
 	Faults     bool // enable transient-fault injection during checking
 }
 
+// Repro implements Spec.
+func (s GenSpec) Repro() string { return fmt.Sprintf("mdacheck -seed %#x", s.Seed) }
+
+func (s GenSpec) rig() Rig { return Rig{Seed: s.Seed, CfgVariant: s.CfgVariant, Faults: s.Faults} }
+
+func (s GenSpec) title() string { return "conformance failure" }
+
 func (s GenSpec) String() string {
 	o := "row+col"
 	if s.RowOnly {

@@ -2,24 +2,17 @@ package check
 
 import (
 	"fmt"
-	"strings"
 
-	"mdacache/internal/core"
 	"mdacache/internal/isa"
 	"mdacache/internal/sim"
 )
 
-// This file is the multi-core half of the conformance harness: a seeded
-// generator of contended per-core op streams, the checker that runs them on
-// shared hierarchies (private L1s over a coherent shared L2/LLC) against one
-// shared reference model, and a shrinker that reduces a failing interleaving
-// to a minimal cross-core witness.
-//
-// The oracle leans on the machine's determinism contract: the overlap-
-// ordering rule serializes conflicting (line-overlapping) ops machine-wide,
-// and non-conflicting ops touch disjoint words, so a flat reference model
-// applied in true global issue order — observed via each CPU's OnIssue hook —
-// is an exact per-load value oracle even under maximal cross-core contention.
+// This file is the multi-core generator of the conformance harness: seeded
+// contended per-core op streams over one shared tile footprint, and the
+// flattened core-tagged schedule form they shrink in. The checker itself
+// (CheckStreams) is shared with the single-core corpus; its one reference
+// model, advanced in true global issue order, is an exact per-load value
+// oracle even under maximal cross-core contention.
 
 // MCPattern selects the cross-core conflict family a generated workload
 // draws from. Each family stresses a different sharing hazard.
@@ -80,6 +73,15 @@ type MCSpec struct {
 	CfgVariant int  // core.SmallConfig variant (0 roomy, 1 tight)
 	Faults     bool // enable transient-fault injection during checking
 }
+
+// Repro implements Spec.
+func (s MCSpec) Repro() string {
+	return fmt.Sprintf("mdacheck -cores %d -seed %#x", s.Cores, s.Seed)
+}
+
+func (s MCSpec) rig() Rig { return Rig{Seed: s.Seed, CfgVariant: s.CfgVariant, Faults: s.Faults} }
+
+func (s MCSpec) title() string { return "multi-core conformance failure" }
 
 func (s MCSpec) String() string {
 	o := "row+col"
@@ -281,251 +283,16 @@ func SplitMC(ops []MCOp, cores int) [][]isa.Op {
 	return streams
 }
 
-// MCFailure describes a failing multi-core seed: the (possibly shrunk)
-// flattened schedule and the violations it produces.
-type MCFailure struct {
-	Spec       MCSpec
-	Ops        []MCOp // shrunk schedule (or full schedule with Options.NoShrink)
-	Shrunk     bool
-	Violations []Violation
-}
-
-// Repro returns the copy-pasteable command that reproduces this failure.
-func (f *MCFailure) Repro() string {
-	return fmt.Sprintf("mdacheck -cores %d -seed %#x", f.Spec.Cores, f.Spec.Seed)
-}
-
-// CoresTouched returns how many distinct cores the schedule spans — a shrunk
-// witness for a genuine cross-core bug must touch at least two.
-func (f *MCFailure) CoresTouched() int {
-	seen := make(map[int]bool)
-	for _, mo := range f.Ops {
-		seen[mo.Core] = true
-	}
-	return len(seen)
-}
-
-// String renders the failure report: spec, repro line, violations, schedule.
-func (f *MCFailure) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "multi-core conformance failure: %s\n", f.Spec)
-	fmt.Fprintf(&b, "reproduce with: %s\n", f.Repro())
-	for _, v := range f.Violations {
-		fmt.Fprintf(&b, "  %s\n", v)
-	}
-	label := "shrunk schedule"
-	if !f.Shrunk {
-		label = "schedule"
-	}
-	fmt.Fprintf(&b, "%s (%d ops, %d cores touched):\n", label, len(f.Ops), f.CoresTouched())
-	for i, mo := range f.Ops {
-		fmt.Fprintf(&b, "  %3d: core%d %v", i, mo.Core, mo.Op)
-		if mo.Op.Kind == isa.Store {
-			fmt.Fprintf(&b, " value=%d", mo.Op.Value)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// mcFaultsEnabled resolves the effective fault setting for a multi-core spec.
-func mcFaultsEnabled(spec MCSpec, opt Options) bool {
-	switch opt.Faults {
-	case FaultOff:
-		return false
-	case FaultOn:
-		return true
-	}
-	return spec.Faults
-}
-
-// CheckMCOps runs the per-core streams on every applicable design as a
-// Cores=len(streams) shared hierarchy and returns all invariant violations
-// (empty ⇒ the schedule conforms). spec supplies machine parameters; its
-// generator fields are not consulted, so callers may pass hand-written
-// streams with only Cores/CfgVariant set.
-func CheckMCOps(streams [][]isa.Op, spec MCSpec, opt Options) []Violation {
-	flat := make([]isa.Op, 0, 64)
-	for _, s := range streams {
-		flat = append(flat, s...)
-	}
-	var out []Violation
-	for _, d := range designsFor(flat, opt) {
-		out = append(out, checkMCDesign(d, streams, spec, opt)...)
-	}
-	return out
-}
-
-// checkMCDesign runs one design over the streams and checks every invariant:
-// per-load oracle values (via a shared reference model applied in true
-// global issue order), the drained final memory image in both directions,
-// and per-core plus per-level metric conservation identities.
-func checkMCDesign(d core.Design, streams [][]isa.Op, spec MCSpec, opt Options) []Violation {
-	var vio []Violation
-	add := func(kind, format string, args ...interface{}) {
-		if len(vio) < maxViolationsPerDesign {
-			vio = append(vio, Violation{Design: d, Kind: kind, Msg: fmt.Sprintf(format, args...)})
-		}
-	}
-
-	cfg := core.SmallConfig(d, spec.CfgVariant)
-	cfg.Cores = len(streams)
-	cfg.MaxCycles = checkMaxCycles
-	if mcFaultsEnabled(spec, opt) {
-		cfg.Mem.WriteFailProb = 0.05
-		cfg.Mem.FaultSeed = spec.Seed ^ 0xfa017
-	}
-	if opt.BreakCoherence {
-		cfg.L1.BreakDupCoherence = true
-		cfg.L2.BreakDupCoherence = true
-		cfg.L3.BreakDupCoherence = true
-	}
-	cfg.BreakSnoopCoherence = opt.BreakSnoop
-	m, err := core.Build(cfg)
-	if err != nil {
-		add("run-error", "build: %v", err)
-		return vio
-	}
-
-	// Invariant 1 — load values. One reference model is shared by all cores
-	// and advanced from each CPU's OnIssue hook, i.e. in the machine's true
-	// global issue order. The overlap-ordering rule serializes conflicting
-	// ops machine-wide (a conflicting op cannot issue until the in-flight op
-	// completes), and non-conflicting ops touch disjoint words, so the
-	// reference value attached to each load at issue is exact. OnLoad then
-	// compares the completed value against that annotation.
-	ref := NewRefModel()
-	for i, cpu := range m.CPUs {
-		who := fmt.Sprintf("cpu%d", i)
-		cpu.OnIssue = func(op isa.Op) isa.Op {
-			v := ref.Apply(op)
-			if op.Kind == isa.Load {
-				op.Value = v
-			}
-			return op
-		}
-		cpu.OnLoad = func(op isa.Op, value uint64) {
-			if value != op.Value {
-				add("load-value", "%s: %v returned %d, want %d", who, op, value, op.Value)
-			}
-		}
-	}
-	traces := make([]isa.TraceReader, len(streams))
-	for c, s := range streams {
-		traces[c] = isa.NewSliceTrace(s)
-	}
-	res, err := m.RunTraces(traces...)
-	if err != nil {
-		add("run-error", "%v", err)
-		return vio
-	}
-
-	// Invariant 2 — final memory image after a full drain, both directions:
-	// every reference word must be in memory (lost write-backs, dropped
-	// invalidations) and every non-zero memory word must be in the reference
-	// (ghost writes).
-	m.DrainAll()
-	final := ref.Final()
-	store := m.Memory.Store()
-	for addr, want := range final {
-		if got := store.ReadWord(addr); got != want {
-			add("final-image", "memory[%#x] = %d after drain, want %d", addr, got, want)
-		}
-	}
-	store.ForEachWord(func(addr, v uint64) {
-		if _, ok := final[addr]; !ok {
-			add("ghost-write", "memory[%#x] = %d, reference never wrote it", addr, v)
-		}
-	})
-
-	// Invariant 3 — conservation identities over the obs snapshot, now per
-	// core and per level: each core retires exactly its stream, and every
-	// level (the per-core private L1s plus the shared levels) satisfies the
-	// same accounting identities as in the single-core harness.
-	snap := res.Metrics
-	counter := func(name string) uint64 {
-		v, _ := snap.Counter(name)
-		return v
-	}
-	total := 0
-	for c, s := range streams {
-		total += len(s)
-		name := fmt.Sprintf("cpu%d.ops", c)
-		if got := counter(name); got != uint64(len(s)) {
-			add("metrics", "%s = %d, want %d", name, got, len(s))
-		}
-	}
-	if got := snap.SumCounters(".ops"); got < uint64(total) {
-		add("metrics", "sum of per-core ops %d < total scheduled ops %d", got, total)
-	}
-	lvls := []string{"l2", "l3"}
-	for c := range streams {
-		lvls = append(lvls, fmt.Sprintf("l1c%d", c))
-	}
-	for _, lvl := range lvls {
-		acc := counter(lvl + ".accesses")
-		if h, mi := counter(lvl+".hits"), counter(lvl+".misses"); h+mi != acc {
-			add("metrics", "%s: hits %d + misses %d != accesses %d", lvl, h, mi, acc)
-		}
-		if s, v := counter(lvl+".scalar_accesses"), counter(lvl+".vector_accesses"); s+v != acc {
-			add("metrics", "%s: scalar %d + vector %d != accesses %d", lvl, s, v, acc)
-		}
-		if r, c := counter(lvl+".accesses.row"), counter(lvl+".accesses.col"); r+c != acc {
-			add("metrics", "%s: row %d + col %d != accesses %d", lvl, r, c, acc)
-		}
-		if d != core.D2Dense {
-			fills := counter(lvl + ".fills_issued")
-			budget := counter(lvl+".misses") + counter(lvl+".prefetch_issued") + counter(lvl+".writebacks_in")
-			if fills > budget {
-				add("metrics", "%s: fills_issued %d > misses+prefetch+writebacks_in %d", lvl, fills, budget)
-			}
-		}
-		if d == core.D0Baseline {
-			if de, df := counter(lvl+".duplicate_evictions"), counter(lvl+".duplicate_flushes"); de+df != 0 {
-				add("metrics", "%s: baseline recorded duplicate traffic (evictions=%d flushes=%d)", lvl, de, df)
-			}
-		}
-	}
-	if d == core.D0Baseline {
-		if c := counter("mem.reads.col"); c != 0 {
-			add("metrics", "baseline issued %d column memory reads", c)
-		}
-		if c := counter("mem.writes.col"); c != 0 {
-			add("metrics", "baseline issued %d column memory writes", c)
-		}
-	}
-	if !mcFaultsEnabled(spec, opt) {
-		if f := counter("mem.write_retries"); f != 0 {
-			add("metrics", "write retries %d with fault injection off", f)
-		}
-	}
-	return vio
-}
-
-// CheckMCSpec generates the streams for spec, checks them, and — on failure
-// — shrinks the flattened schedule to a locally-minimal failing witness.
+// CheckMCSpec generates the streams for spec and checks them, shrinking
+// the flattened schedule to a locally-minimal failing witness on failure.
 // Returns nil when every invariant holds.
-func CheckMCSpec(spec MCSpec, opt Options) *MCFailure {
-	streams := GenerateMC(spec)
-	vio := CheckMCOps(streams, spec, opt)
-	if len(vio) == 0 {
-		return nil
-	}
-	f := &MCFailure{Spec: spec, Ops: FlattenMC(streams), Violations: vio}
-	if !opt.NoShrink {
-		shrunk := ShrinkMCOps(f.Ops, func(cand []MCOp) bool {
-			return len(CheckMCOps(SplitMC(cand, spec.Cores), spec, opt)) > 0
-		})
-		f.Ops = shrunk
-		f.Shrunk = true
-		f.Violations = CheckMCOps(SplitMC(shrunk, spec.Cores), spec, opt)
-	}
-	return f
+func CheckMCSpec(spec MCSpec, opt Options) *Failure {
+	return checkCase(spec, GenerateMC(spec), opt)
 }
 
 // CheckMCSeed derives the multi-core spec for (seed, cores) and checks it.
 // Corpus convention matches CheckSeed: seed k of an N-trace run is k, so
 // `mdacheck -cores C -seed k` reproduces any corpus failure exactly.
-func CheckMCSeed(seed uint64, cores int, opt Options) *MCFailure {
+func CheckMCSeed(seed uint64, cores int, opt Options) *Failure {
 	return CheckMCSpec(MCSpecForSeed(seed, cores), opt)
 }

@@ -244,7 +244,7 @@ func TestMCBrokenSnoopShrinksToCrossCoreWitness(t *testing.T) {
 }
 
 // TestMCCheckOpsHandwritten feeds a hand-written cross-core false-sharing
-// workload through CheckMCOps with a minimal spec, pinning that the API
+// workload through CheckStreams with a zero-value rig, pinning that the API
 // works for non-generated streams: two cores ping-pong stores to different
 // words of the same row line, then each reads the other's word.
 func TestMCCheckOpsHandwritten(t *testing.T) {
@@ -256,8 +256,7 @@ func TestMCCheckOpsHandwritten(t *testing.T) {
 		s1 = append(s1, isa.Op{Addr: line.WordAddr(1), Kind: isa.Store, Value: 5000 + i*16, Orient: isa.Row})
 		s1 = append(s1, isa.Op{Addr: line.WordAddr(0), Orient: isa.Row, Gap: 2})
 	}
-	spec := MCSpec{Cores: 2}
-	if vio := CheckMCOps([][]isa.Op{s0, s1}, spec, Options{Faults: FaultOff}); len(vio) != 0 {
+	if vio := CheckStreams([][]isa.Op{s0, s1}, Rig{}, Options{Faults: FaultOff}); len(vio) != 0 {
 		t.Fatalf("hand-written false-sharing workload failed: %v", vio)
 	}
 }

@@ -69,24 +69,6 @@ func Replay(ops []isa.Op) ([]uint64, map[uint64]uint64) {
 	return vals, r.mem
 }
 
-// Annotate returns a copy of ops in which every load carries its reference
-// value in Value — the same convention the core oracle tests use, so a
-// machine's CPU.OnLoad hook can compare each completed load against op.Value
-// without needing to correlate out-of-order completions back to program
-// order.
-func Annotate(ops []isa.Op) []isa.Op {
-	out := make([]isa.Op, len(ops))
-	r := NewRefModel()
-	for i, op := range ops {
-		v := r.Apply(op)
-		if op.Kind == isa.Load {
-			op.Value = v
-		}
-		out[i] = op
-	}
-	return out
-}
-
 // refCacheLines is the size of the reference cache (direct-mapped, in
 // lines). Deliberately tiny so replays exercise constant eviction.
 const refCacheLines = 16

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"strings"
 
 	"mdacache/internal/isa"
 	"mdacache/internal/sim"
@@ -29,6 +28,15 @@ type RequestSpec struct {
 	CfgVariant int               // core.SmallConfig variant (0 roomy, 1 tight)
 	Faults     bool              // enable transient-fault injection during checking
 }
+
+// Repro implements Spec.
+func (s RequestSpec) Repro() string {
+	return fmt.Sprintf("mdacheck -workload %s -cores %d -seed %#x", s.Workload, s.Cores, s.Seed)
+}
+
+func (s RequestSpec) rig() Rig { return Rig{Seed: s.Seed, CfgVariant: s.CfgVariant, Faults: s.Faults} }
+
+func (s RequestSpec) title() string { return "request conformance failure" }
 
 func (s RequestSpec) String() string {
 	layout := "2d"
@@ -86,95 +94,23 @@ func GenerateRequest(spec RequestSpec) ([][]isa.Op, error) {
 	return streams, nil
 }
 
-// RequestFailure describes a failing request-workload seed: the (possibly
-// shrunk) flattened schedule and the violations it produces. Single-core
-// cases use the same representation with every op on core 0.
-type RequestFailure struct {
-	Spec       RequestSpec
-	Ops        []MCOp // shrunk schedule (or full schedule with Options.NoShrink)
-	Shrunk     bool
-	Violations []Violation
-}
-
-// Repro returns the copy-pasteable command that reproduces this failure.
-func (f *RequestFailure) Repro() string {
-	return fmt.Sprintf("mdacheck -workload %s -cores %d -seed %#x",
-		f.Spec.Workload, f.Spec.Cores, f.Spec.Seed)
-}
-
-// String renders the failure report: spec, repro line, violations, schedule.
-func (f *RequestFailure) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "request conformance failure: %s\n", f.Spec)
-	fmt.Fprintf(&b, "reproduce with: %s\n", f.Repro())
-	for _, v := range f.Violations {
-		fmt.Fprintf(&b, "  %s\n", v)
-	}
-	label := "shrunk schedule"
-	if !f.Shrunk {
-		label = "schedule"
-	}
-	fmt.Fprintf(&b, "%s (%d ops):\n", label, len(f.Ops))
-	for i, mo := range f.Ops {
-		fmt.Fprintf(&b, "  %3d: core%d %v", i, mo.Core, mo.Op)
-		if mo.Op.Kind == isa.Store {
-			fmt.Fprintf(&b, " value=%d", mo.Op.Value)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // CheckRequest generates the request streams for spec, checks them against
 // every applicable design, and — on failure — shrinks the schedule to a
-// locally-minimal failing witness. cores == 1 uses the single-core harness
-// (the machine is a plain hierarchy, counters under "cpu.*"); cores > 1 the
-// shared-hierarchy one. Returns (nil, nil) when every invariant holds; a
-// non-nil error means the spec itself is invalid, not that a check failed.
-func CheckRequest(spec RequestSpec, opt Options) (*RequestFailure, error) {
+// locally-minimal failing witness. Returns (nil, nil) when every invariant
+// holds; a non-nil error means the spec itself is invalid, not that a check
+// failed.
+func CheckRequest(spec RequestSpec, opt Options) (*Failure, error) {
 	streams, err := GenerateRequest(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Cores <= 1 {
-		gspec := GenSpec{Seed: spec.Seed, CfgVariant: spec.CfgVariant, Faults: spec.Faults}
-		ops := streams[0]
-		vio := CheckOps(ops, gspec, opt)
-		if len(vio) == 0 {
-			return nil, nil
-		}
-		f := &RequestFailure{Spec: spec, Ops: FlattenMC(streams), Violations: vio}
-		if !opt.NoShrink {
-			shrunk := ShrinkOps(ops, func(cand []isa.Op) bool {
-				return len(CheckOps(cand, gspec, opt)) > 0
-			})
-			f.Ops = FlattenMC([][]isa.Op{shrunk})
-			f.Shrunk = true
-			f.Violations = CheckOps(shrunk, gspec, opt)
-		}
-		return f, nil
-	}
-	mspec := MCSpec{Seed: spec.Seed, Cores: spec.Cores, CfgVariant: spec.CfgVariant, Faults: spec.Faults}
-	vio := CheckMCOps(streams, mspec, opt)
-	if len(vio) == 0 {
-		return nil, nil
-	}
-	f := &RequestFailure{Spec: spec, Ops: FlattenMC(streams), Violations: vio}
-	if !opt.NoShrink {
-		shrunk := ShrinkMCOps(f.Ops, func(cand []MCOp) bool {
-			return len(CheckMCOps(SplitMC(cand, spec.Cores), mspec, opt)) > 0
-		})
-		f.Ops = shrunk
-		f.Shrunk = true
-		f.Violations = CheckMCOps(SplitMC(shrunk, spec.Cores), mspec, opt)
-	}
-	return f, nil
+	return checkCase(spec, streams, opt), nil
 }
 
 // CheckRequestSeed derives the request spec for (workload, seed, cores) and
 // checks it. Corpus convention matches CheckSeed: seed k of an N-trace run
 // is k, so `mdacheck -workload W -cores C -seed k` reproduces any corpus
 // failure exactly.
-func CheckRequestSeed(workload string, seed uint64, cores int, opt Options) (*RequestFailure, error) {
+func CheckRequestSeed(workload string, seed uint64, cores int, opt Options) (*Failure, error) {
 	return CheckRequest(RequestSpecForSeed(workload, seed, cores), opt)
 }

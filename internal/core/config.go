@@ -164,19 +164,18 @@ type Config struct {
 	// in-flight memory operations.
 	Window int
 
-	// Cores is the number of trace-driven CPUs sharing the hierarchy. 0 and
-	// 1 both build the classic single-core machine — wiring, event order and
-	// metrics bit-identical to the pre-multi-core engine (the conformance
-	// mode). N > 1 builds N private L1s (one per core, named "L1c<i>") over
-	// the shared L2/LLC, kept coherent by a snoop hub, with set-granular
-	// arbitration at every shared level (DESIGN §11).
+	// Cores is the number of trace-driven CPUs sharing the hierarchy; 0
+	// means 1. Every machine builds one private L1 per core over the shared
+	// L2/LLC, kept coherent by a snoop hub (DESIGN §11). A single core keeps
+	// the names "cpu"/"L1" and one global port per shared level; N > 1
+	// names the L1s "L1c<i>" and arbitrates every shared level per set.
 	Cores int
 
 	// BreakSnoopCoherence disables the hub's cross-core invalidation on
 	// stores — the multi-core analogue of CacheParams.BreakDupCoherence. It
 	// exists ONLY so internal/check can prove the conformance harness
 	// detects cross-core coherence bugs; no experiment configuration sets
-	// it. Ignored on single-core machines (there is no hub).
+	// it. A no-op on single-core machines (the hub has no siblings).
 	BreakSnoopCoherence bool
 
 	// OccupancySampleInterval, when non-zero, records row/column line

@@ -22,7 +22,7 @@ type RunSpec struct {
 	Design core.Design
 
 	// Cores selects how many trace-driven CPUs share the hierarchy (private
-	// L1s over a coherent shared L2/LLC). 0 and 1 both build the single-CPU
+	// L1s over a coherent shared L2/LLC). 0 and 1 both build the one-core
 	// machine; above 1 the compiled trace is sharded round-robin in chunks
 	// across the cores — a throughput approximation that keeps each core's
 	// chunk order but not cross-core program order (the hierarchy stays
