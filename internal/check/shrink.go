@@ -1,7 +1,5 @@
 package check
 
-import "mdacache/internal/isa"
-
 // maxShrinkEvals bounds the number of predicate evaluations one shrink may
 // spend. Each evaluation replays the candidate trace on every design, so the
 // cap keeps a failing soak run from stalling; the bound is generous for the
@@ -20,8 +18,8 @@ const maxShrinkEvals = 200
 //
 // The result is not guaranteed globally minimal, only locally: no single
 // remaining element can be removed without losing the failure (unless the
-// eval cap was hit first). The element type is opaque — the same machinery
-// shrinks single-core op traces and core-tagged multi-core interleavings.
+// eval cap was hit first). The element type is opaque: the harness shrinks
+// core-tagged schedules, and its tests shrink plain op traces.
 func shrinkSlice[T any](items []T, fails func([]T) bool) []T {
 	if len(items) == 0 {
 		return items
@@ -70,16 +68,10 @@ func shrinkSlice[T any](items []T, fails func([]T) bool) []T {
 	return cur
 }
 
-// ShrinkOps reduces a failing single-core trace to a locally-minimal one
-// that still fails the caller's predicate.
-func ShrinkOps(ops []isa.Op, fails func([]isa.Op) bool) []isa.Op {
-	return shrinkSlice(ops, fails)
-}
-
-// ShrinkMCOps is ShrinkOps for flattened multi-core interleavings: deleting
-// an MCOp removes that op from its core's stream while preserving every
-// stream's internal program order, so the shrunk witness is always a valid
-// (smaller) multi-core schedule.
+// ShrinkMCOps reduces a failing core-tagged schedule to a locally-minimal
+// one that still fails the caller's predicate. Deleting an MCOp removes that
+// op from its core's stream while preserving every stream's internal program
+// order, so the shrunk witness is always a valid (smaller) schedule.
 func ShrinkMCOps(ops []MCOp, fails func([]MCOp) bool) []MCOp {
 	return shrinkSlice(ops, fails)
 }
