@@ -283,8 +283,9 @@ func TestMultiCoreStallDiagnostics(t *testing.T) {
 }
 
 // TestMultiCoreHitPathAllocFree pins the steady-state L1 hit paths of a
-// 2-core machine at zero allocations: the set arbiters, snoop hub, and
-// store-snoop hooks must not add allocation to the hot loop.
+// 2-core machine, and the hub peek every L1 fill makes, at zero
+// allocations: the set arbiters, snoop hub, and store-snoop hooks must not
+// add allocation to the hot loop.
 func TestMultiCoreHitPathAllocFree(t *testing.T) {
 	m, err := Build(mcConfig(D1DiffSet, 2))
 	if err != nil {
@@ -315,5 +316,12 @@ func TestMultiCoreHitPathAllocFree(t *testing.T) {
 		q.Run(0)
 	}); n != 0 {
 		t.Errorf("multi-core L1 store hit path (with store snoop) allocates %v times per access, want 0", n)
+	}
+	// Every L1 fill peeks through the hub; core 1's peek overlays core 0's
+	// dirty line.
+	port := m.Levels[1].(cacheLevel).ctl().below
+	line := isa.LineOf(0x40, isa.Row)
+	if n := testing.AllocsPerRun(200, func() { _ = port.Peek(line) }); n != 0 {
+		t.Errorf("snoop hub peek allocates %v times per fill, want 0", n)
 	}
 }
