@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,7 +44,7 @@ func main() {
 		cores    = flag.String("cores", "1", "comma-separated core counts to check (1 = the single-core trace corpus, >1 = contended per-core streams on a shared hierarchy)")
 		faults   = flag.String("faults", "auto", "fault injection: auto (per-seed), on, off")
 		breakCoh = flag.Bool("break-coherence", false, "disable duplicate-coherence eviction (verifies the harness catches it)")
-		breakSnp = flag.Bool("break-snoop", false, "disable cross-core snoop invalidation (verifies the multi-core harness catches it)")
+		breakSnp = flag.Bool("break-snoop", false, "disable cross-core snoop invalidation (verifies the multi-core harness catches it; every -cores count must be above 1)")
 		workload = flag.String("workload", "", "check request-workload streams (kv, htap) instead of the harness's own patterns")
 		noShrink = flag.Bool("no-shrink", false, "skip trace minimisation on failure")
 		maxFail  = flag.Int("max-failures", 1, "stop after this many failing seeds")
@@ -85,6 +86,9 @@ func main() {
 		usagef("unknown workload %q (valid: %s)", *workload, strings.Join(workloads.RequestNames, ", "))
 	}
 	coreCounts := parseCores(*cores)
+	if *breakSnp && slices.Contains(coreCounts, 1) {
+		usagef("-break-snoop needs every -cores count above 1 (got %q): one core has no sibling to snoop, so the mutation would change nothing", *cores)
+	}
 
 	seeds := make([]uint64, 0, *n)
 	if seedSet() {

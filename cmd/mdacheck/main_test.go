@@ -104,6 +104,8 @@ func TestUsageErrors(t *testing.T) {
 		{"zero max-failures", []string{"-max-failures", "0"}, "-max-failures"},
 		{"positional args", []string{"stray"}, "unexpected arguments"},
 		{"unknown workload", []string{"-workload", "nope"}, "unknown workload"},
+		{"break-snoop on one core", []string{"-break-snoop", "-cores", "2,1"}, "-break-snoop"},
+		{"break-snoop default cores", []string{"-break-snoop"}, "-break-snoop"},
 	}
 	for _, c := range cases {
 		c := c

@@ -314,12 +314,7 @@ func runTraceFile(spec experiments.RunSpec, path string, tracer *obs.Tracer) (*c
 		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
 		defer cancel()
 	}
-	var res *core.Results
-	if len(m.CPUs) > 1 {
-		res, err = m.RunTracesCtx(ctx, experiments.ShardTrace(tr, len(m.CPUs))...)
-	} else {
-		res, err = m.RunCtx(ctx, tr)
-	}
+	res, err := m.RunTracesCtx(ctx, experiments.ShardTrace(tr, len(m.CPUs))...)
 	if err != nil {
 		return nil, err
 	}

@@ -33,13 +33,7 @@ type CPU struct {
 	name   string
 	group  *coreGroup
 
-	trace isa.TraceReader
-	// blocker is non-nil when the trace supports transient backpressure
-	// (isa.Blocker): a failed Next with Blocked() true parks the pump until
-	// the trace's readable callback reschedules it, instead of marking the
-	// trace exhausted. Wakes go through the event queue, so parking and
-	// resuming stay deterministic.
-	blocker  isa.Blocker
+	trace    isa.TraceReader
 	inflight []inflightOp
 	// tileOps/tileStores count in-flight ops and stores per tile bucket
 	// (tileBucket). Two ops can only overlap inside one tile, so a store
@@ -182,10 +176,6 @@ func NewCPU(q *sim.EventQueue, l1 Level, window int) *CPU {
 func (c *CPU) Start(trace isa.TraceReader, finished func(endCycle uint64)) {
 	c.trace = trace
 	c.finished = finished
-	if b, ok := trace.(isa.Blocker); ok {
-		c.blocker = b
-		b.OnReadable(func() { c.q.Schedule(c.q.Now(), c.pump) })
-	}
 	c.q.Schedule(c.q.Now(), c.pump)
 }
 
@@ -261,9 +251,6 @@ func (c *CPU) pump() {
 		} else {
 			next, ok := c.trace.Next()
 			if !ok {
-				if c.blocker != nil && c.blocker.Blocked() {
-					break // transient backpressure: OnReadable reschedules the pump
-				}
 				c.exhausted = true
 				break
 			}

@@ -8,6 +8,7 @@ import (
 
 	"mdacache/internal/compiler"
 	"mdacache/internal/core"
+	"mdacache/internal/isa"
 	"mdacache/internal/obs"
 	"mdacache/internal/stats"
 	"mdacache/internal/workloads"
@@ -36,7 +37,7 @@ func RunInstrumented(spec RunSpec, ins Instrument) (*core.Results, error) {
 }
 
 // RunInstrumentedCtx is RunCtx with observability hooks: the kernel build and
-// tiling are charged to the "compile" phase of ins.Profile.
+// tiling are charged to the "workload" phase of ins.Profile.
 func RunInstrumentedCtx(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
 	if spec.Workload != "" {
 		return runRequestInstrumentedCtx(ctx, spec, ins)
@@ -61,7 +62,26 @@ func RunInstrumentedCtx(ctx context.Context, spec RunSpec, ins Instrument) (*cor
 // accounting: "compile" covers trace compilation, "build" machine
 // construction, "simulate" the event loop (with simulated cycles and executed
 // event counts attached).
-func RunKernelInstrumentedCtx(ctx context.Context, kern *compiler.Kernel, spec RunSpec, ins Instrument) (res *core.Results, err error) {
+func RunKernelInstrumentedCtx(ctx context.Context, kern *compiler.Kernel, spec RunSpec, ins Instrument) (*core.Results, error) {
+	return runStreams(ctx, spec, ins, "compile", func(cores int) ([]isa.TraceReader, error) {
+		prog, err := compiler.Compile(kern, compiler.Target{
+			Logical2D: spec.Design.Logical2D(),
+			Layout:    spec.LayoutOverride,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return ShardTrace(prog.Trace(), cores), nil
+	})
+}
+
+// runStreams is the run step every spec takes, compiled kernel or request
+// workload. It recovers a panic into an error, applies the spec's Config
+// and ins.Tracer, charges feed (which makes one stream per core) to the
+// given phase, then builds the machine ("build") and runs the streams on it
+// under the spec's Timeout ("simulate"). The streams are closed on every
+// return path, so a failed Build leaves no generator goroutine behind.
+func runStreams(ctx context.Context, spec RunSpec, ins Instrument, phase string, feed func(cores int) ([]isa.TraceReader, error)) (res *core.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -75,14 +95,18 @@ func RunKernelInstrumentedCtx(ctx context.Context, kern *compiler.Kernel, spec R
 	cfg.Tracer = ins.Tracer
 
 	t0 := time.Now()
-	prog, err := compiler.Compile(kern, compiler.Target{
-		Logical2D: spec.Design.Logical2D(),
-		Layout:    spec.LayoutOverride,
-	})
+	streams, err := feed(max(cfg.Cores, 1))
 	if err != nil {
 		return nil, err
 	}
-	ins.Profile.Add(obs.ProfilePhase{Name: "compile", Wall: time.Since(t0)})
+	defer func() {
+		for _, s := range streams {
+			if c, ok := s.(isa.Closer); ok {
+				c.Close()
+			}
+		}
+	}()
+	ins.Profile.Add(obs.ProfilePhase{Name: phase, Wall: time.Since(t0)})
 
 	t0 = time.Now()
 	m, err := core.Build(cfg)
@@ -97,11 +121,7 @@ func RunKernelInstrumentedCtx(ctx context.Context, kern *compiler.Kernel, spec R
 		defer cancel()
 	}
 	t0 = time.Now()
-	if len(m.CPUs) > 1 {
-		res, err = m.RunTracesCtx(ctx, ShardTrace(prog.Trace(), len(m.CPUs))...)
-	} else {
-		res, err = m.RunCtx(ctx, prog.Trace())
-	}
+	res, err = m.RunTracesCtx(ctx, streams...)
 	if err != nil {
 		return nil, err
 	}

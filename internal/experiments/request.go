@@ -3,76 +3,33 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"time"
 
 	"mdacache/internal/core"
-	"mdacache/internal/obs"
+	"mdacache/internal/isa"
 	"mdacache/internal/workloads"
 )
 
 // runRequestInstrumentedCtx executes a request-driven workload spec: no
 // compiler involved — the seeded per-core client streams from
-// workloads.RequestStreams feed Machine.RunTracesCtx directly, one stream
-// per core. Phase accounting mirrors the kernel path with "workload"
-// (stream construction) in place of "compile".
-func runRequestInstrumentedCtx(ctx context.Context, spec RunSpec, ins Instrument) (res *core.Results, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("experiments: %v panicked: %v\n%s", spec, r, debug.Stack())
+// workloads.RequestStreams feed the machine directly, one stream per core.
+// Phase accounting mirrors the kernel path with "workload" (stream
+// construction) in place of "compile".
+func runRequestInstrumentedCtx(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
+	return runStreams(ctx, spec, ins, "workload", func(cores int) ([]isa.TraceReader, error) {
+		streams, err := workloads.RequestStreams(workloads.ReqSpec{
+			Workload:  spec.Workload,
+			N:         spec.N,
+			Cores:     cores,
+			Clients:   spec.Clients,
+			Ops:       spec.Ops,
+			Zipf:      spec.Zipf,
+			ReadRatio: spec.ReadRatio,
+			Seed:      spec.WorkloadSeed,
+			Logical2D: spec.Design.Logical2D(),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-	}()
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Tracer = ins.Tracer
-
-	cores := spec.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	t0 := time.Now()
-	streams, err := workloads.RequestStreams(workloads.ReqSpec{
-		Workload:  spec.Workload,
-		N:         spec.N,
-		Cores:     cores,
-		Clients:   spec.Clients,
-		Ops:       spec.Ops,
-		Zipf:      spec.Zipf,
-		ReadRatio: spec.ReadRatio,
-		Seed:      spec.WorkloadSeed,
-		Logical2D: spec.Design.Logical2D(),
+		return streams, nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	ins.Profile.Add(obs.ProfilePhase{Name: "workload", Wall: time.Since(t0)})
-
-	t0 = time.Now()
-	m, err := core.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ins.Profile.Add(obs.ProfilePhase{Name: "build", Wall: time.Since(t0)})
-
-	if spec.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
-		defer cancel()
-	}
-	t0 = time.Now()
-	res, err = m.RunTracesCtx(ctx, streams...)
-	if err != nil {
-		return nil, err
-	}
-	events, _ := res.Metrics.Counter("sim.events")
-	ins.Profile.Add(obs.ProfilePhase{
-		Name:   "simulate",
-		Wall:   time.Since(t0),
-		Cycles: res.Cycles,
-		Events: events,
-	})
-	return res, nil
 }

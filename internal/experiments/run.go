@@ -23,10 +23,13 @@ type RunSpec struct {
 
 	// Cores selects how many trace-driven CPUs share the hierarchy (private
 	// L1s over a coherent shared L2/LLC). 0 and 1 both build the one-core
-	// machine; above 1 the compiled trace is sharded round-robin in chunks
-	// across the cores — a throughput approximation that keeps each core's
-	// chunk order but not cross-core program order (the hierarchy stays
-	// functionally coherent regardless).
+	// machine; above 1 the compiled trace is sharded round-robin in 64-op
+	// chunks across the cores (ShardTrace) — a throughput approximation
+	// that keeps each core's chunk order but not cross-core program order
+	// (the hierarchy stays functionally coherent regardless). Core c gets
+	// exactly chunks c, c+Cores, c+2·Cores, … and is never held back by
+	// another core's share, so the run equals one fed the trace pre-split
+	// by chunk index.
 	Cores int
 
 	// LLCBytes sizes the L3 (or, with TwoLevel, the L2 that acts as LLC).

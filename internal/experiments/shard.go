@@ -8,33 +8,30 @@ import "mdacache/internal/isa"
 // spreading the program across the cores.
 const shardChunkOps = 64
 
-// shardBufOps is the per-core high-water mark on buffered ops. A pull whose
-// destination buffer has reached the mark is refused and the asking shard
-// reports transient backpressure (isa.Blocker) instead of buffering further;
-// it is woken when the saturated core drains back below the mark. Because
-// pulls move whole chunks, a buffer can overshoot the mark by at most one
-// chunk, so peak buffering per core is bounded by shardBufOps+shardChunkOps
-// no matter how far the cores' drain rates diverge.
-const shardBufOps = 16 * shardChunkOps
-
 // ShardTrace splits one trace into cores round-robin chunk streams for a
 // multi-core machine: ops [0,chunk) go to core 0, [chunk,2·chunk) to core 1,
-// and so on, wrapping. The split is a streaming demultiplexer — the source
-// is pulled lazily as cores consume their shards, buffering at most
-// shardBufOps+shardChunkOps ops per core (rate divergence beyond that shows
-// up as backpressure on the fast consumers), so compiled traces never need
-// to be materialised.
+// and so on, wrapping. The split is a streaming demultiplexer: the source is
+// pulled lazily as cores consume their shards, so compiled traces never need
+// to be materialised. A shard whose queue is empty pulls whole chunks until
+// one of its own arrives, queueing the chunks meant for its siblings.
+// Buffering is therefore bounded by how far the cores' consumption
+// diverges, and no shard ever refuses an op the source still holds: a core
+// never waits on another core's buffer, so the simulated timing depends on
+// the modelled machine alone. Each core sees exactly the ops it would get
+// from a pre-split of the whole trace by chunk index.
 //
 // Sharding preserves each core's chunk order but not cross-core program
 // order; it is the standard throughput approximation for driving shared
-// hierarchies from a single-program trace.
+// hierarchies from a single-program trace. ShardTrace(src, 1) returns src
+// itself, so one core pays no demux cost.
 func ShardTrace(src isa.TraceReader, cores int) []isa.TraceReader {
+	if cores == 1 {
+		return []isa.TraceReader{src}
+	}
 	d := &traceDemux{
-		src:     src,
-		bufs:    make([]opQueue, cores),
-		closed:  make([]bool, cores),
-		waiting: make([]bool, cores),
-		wakes:   make([]func(), cores),
+		src:    src,
+		bufs:   make([]opQueue, cores),
+		closed: make([]bool, cores),
 	}
 	out := make([]isa.TraceReader, cores)
 	for c := range out {
@@ -46,22 +43,12 @@ func ShardTrace(src isa.TraceReader, cores int) []isa.TraceReader {
 // traceDemux is the shared state behind one ShardTrace call. The simulation
 // event loop is single-threaded, so no locking is needed.
 type traceDemux struct {
-	src     isa.TraceReader
-	bufs    []opQueue
-	next    int // core that receives the next chunk pulled from src
-	done    bool
-	closed  []bool   // shards whose Close has been called
-	waiting []bool   // shards parked on backpressure
-	wakes   []func() // per-shard OnReadable callbacks
-
+	src       isa.TraceReader
+	bufs      []opQueue
+	next      int // core that receives the next chunk pulled from src
+	done      bool
+	closed    []bool // shards whose Close has been called
 	srcClosed bool
-	peak      int // max ops ever buffered in one core's queue (tests)
-
-	// wakeq is wakeWaiters' reusable delivery buffer. Nested sweeps (a wake
-	// callback re-entering the demux) append after the outer sweep's
-	// segment and truncate back to it, so the buffer never allocates at
-	// steady state and concurrent segments cannot clobber each other.
-	wakeq []int
 }
 
 // pull moves one chunk from the source into the next core's buffer. The
@@ -83,47 +70,12 @@ func (d *traceDemux) pull() {
 		}
 		delivered++
 	}
-	if n := d.bufs[d.next].len(); n > d.peak {
-		d.peak = n
-	}
 	if delivered > 0 {
 		d.next = (d.next + 1) % len(d.bufs)
 	}
 	if d.done {
-		// EOF can strand shards parked on backpressure: their wake would
-		// otherwise only fire on a high-water crossing that may never come.
-		d.wakeWaiters()
 		d.maybeReleaseSrc()
 	}
-}
-
-// wakeWaiters unparks every shard blocked on backpressure, in ascending core
-// order — wakes are scheduled through the (deterministic) event queue by the
-// registered callbacks, so the order here fixes the replayed schedule.
-//
-// The isa.Blocker contract does not require callbacks to defer: a wake fn
-// may re-enter the demux synchronously — call Next, park again, Close a
-// shard, or trigger a nested wakeWaiters through an EOF pull or a high-water
-// crossing. The sweep therefore snapshots its waiters and clears every flag
-// before any callback runs: a nested sweep finds no stale flags to
-// double-deliver, and a shard that re-parks mid-sweep keeps its fresh flag
-// for the next crossing instead of being spuriously re-woken by this one
-// (the old per-index clear-then-fire loop assumed a single, non-reentrant
-// consumer and re-woke such shards).
-func (d *traceDemux) wakeWaiters() {
-	base := len(d.wakeq)
-	for c := range d.waiting {
-		if d.waiting[c] {
-			d.waiting[c] = false
-			d.wakeq = append(d.wakeq, c)
-		}
-	}
-	for i := base; i < len(d.wakeq); i++ {
-		if fn := d.wakes[d.wakeq[i]]; fn != nil {
-			fn()
-		}
-	}
-	d.wakeq = d.wakeq[:base]
 }
 
 // maybeReleaseSrc closes the shared source once no shard can need it again:
@@ -150,51 +102,28 @@ func (d *traceDemux) maybeReleaseSrc() {
 
 // traceShard is one core's view of the demultiplexed trace.
 type traceShard struct {
-	d       *traceDemux
-	core    int
-	blocked bool // last Next refused on backpressure (isa.Blocker)
+	d    *traceDemux
+	core int
 }
 
-// Next implements isa.TraceReader.
+// Next implements isa.TraceReader. A false return is always the end of this
+// shard's stream.
 func (s *traceShard) Next() (isa.Op, bool) {
 	d := s.d
-	for d.bufs[s.core].len() == 0 {
+	q := &d.bufs[s.core]
+	for q.len() == 0 {
 		if d.done {
-			s.blocked = false
 			d.maybeReleaseSrc()
-			return isa.Op{}, false
-		}
-		if d.bufs[d.next].len() >= shardBufOps {
-			// The next chunk belongs to a core already at its high-water
-			// mark (necessarily another core — this shard's buffer is
-			// empty). Report transient backpressure; the saturated core's
-			// drain (or Close) wakes us.
-			s.blocked = true
-			d.waiting[s.core] = true
 			return isa.Op{}, false
 		}
 		d.pull()
 	}
-	s.blocked = false
-	q := &d.bufs[s.core]
-	atMark := q.len() == shardBufOps
 	op := q.pop()
-	if atMark {
-		// Crossed back below the high-water mark: pulls destined here are
-		// admissible again, so unpark any backpressured siblings.
-		d.wakeWaiters()
-	}
 	if d.done && q.len() == 0 {
 		d.maybeReleaseSrc()
 	}
 	return op, true
 }
-
-// Blocked implements isa.Blocker.
-func (s *traceShard) Blocked() bool { return s.blocked }
-
-// OnReadable implements isa.Blocker.
-func (s *traceShard) OnReadable(fn func()) { s.d.wakes[s.core] = fn }
 
 // Close implements isa.Closer. Closing one shard abandons only that shard's
 // stream: its buffered ops are discarded and future chunks for it are
@@ -206,12 +135,7 @@ func (s *traceShard) Close() {
 		return
 	}
 	d.closed[s.core] = true
-	saturated := d.bufs[s.core].len() >= shardBufOps
 	d.bufs[s.core] = opQueue{}
-	d.waiting[s.core] = false
-	if saturated {
-		d.wakeWaiters()
-	}
 	d.maybeReleaseSrc()
 }
 

@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"mdacache/internal/compiler"
+	"mdacache/internal/core"
 	"mdacache/internal/isa"
+	"mdacache/internal/workloads"
 )
 
 // TestShardTraceRoundRobin pins the sharding contract: chunk k of the source
@@ -79,70 +82,6 @@ func TestShardTraceSingleConsumerDrain(t *testing.T) {
 	}
 	if count0 != n/2 || count1 != n/2 {
 		t.Fatalf("shards delivered %d + %d ops, want %d each", count0, count1, n/2)
-	}
-}
-
-// TestShardTracePeakBufferBounded is the regression test for unbounded
-// demux buffering: with one shard consuming and its sibling completely
-// stalled, the fast shard must hit backpressure (isa.Blocker) instead of
-// pulling the whole source into the stalled core's queue. Peak buffered ops
-// per core are pinned at the high-water mark plus at most one chunk of
-// overshoot.
-func TestShardTracePeakBufferBounded(t *testing.T) {
-	const n = shardChunkOps * 200 // ≫ shardBufOps: the old demux buffered ~n/2
-	ops := make([]isa.Op, n)
-	for i := range ops {
-		ops[i] = isa.Op{Addr: uint64(i) * isa.WordSize}
-	}
-	shards := ShardTrace(isa.NewSliceTrace(ops), 2)
-	fast := shards[0].(*traceShard)
-	woken := 0
-	fast.OnReadable(func() { woken++ })
-	blocked := 0
-	var got [2]int
-	// Rate-skewed consumption: shard 0 drains greedily; shard 1 pops a
-	// single op only when shard 0 is refused on backpressure.
-	for {
-		op, ok := fast.Next()
-		if ok {
-			if want := got[0]; opIndex(op) != shardIndex(want, 0, 2) {
-				t.Fatalf("shard 0 op %d: got source index %d, want %d", got[0], opIndex(op), shardIndex(want, 0, 2))
-			}
-			got[0]++
-			continue
-		}
-		if !fast.Blocked() {
-			break // true EOF for shard 0
-		}
-		blocked++
-		if _, ok := shards[1].Next(); !ok {
-			t.Fatal("shard 1 refused while holding the saturated buffer")
-		}
-		got[1]++
-	}
-	for { // drain shard 1's remainder
-		if _, ok := shards[1].Next(); !ok {
-			break
-		}
-		got[1]++
-	}
-	if got[0] != n/2 || got[1] != n/2 {
-		t.Fatalf("shards delivered %d + %d ops, want %d each", got[0], got[1], n/2)
-	}
-	if blocked == 0 {
-		t.Fatal("fast shard never hit backpressure — the high-water mark is not enforced")
-	}
-	// Polling re-blocks while the saturated buffer drains its overshoot
-	// band, so blocks outnumber wakes; but every saturation cycle must
-	// produce a high-water crossing and hence a wake.
-	if woken == 0 {
-		t.Fatal("blocked shard was never woken on the high-water crossing")
-	}
-	if max := shardBufOps + shardChunkOps; fast.d.peak > max {
-		t.Fatalf("peak buffered ops %d exceeds bound %d", fast.d.peak, max)
-	}
-	if fast.d.peak < shardBufOps {
-		t.Fatalf("peak buffered ops %d never reached the high-water mark %d — bound untested", fast.d.peak, shardBufOps)
 	}
 }
 
@@ -268,174 +207,10 @@ func TestShardTraceCloseKeepsSiblingsAlive(t *testing.T) {
 	}
 }
 
-// driveToPark consumes shard 0 greedily until it is refused on backpressure
-// (shard 1's untouched buffer saturated at the high-water mark), returning
-// how many ops shard 0 consumed. Fails the test if EOF arrives first.
-func driveToPark(t *testing.T, shards []isa.TraceReader) int {
-	t.Helper()
-	fast := shards[0].(*traceShard)
-	n := 0
-	for {
-		op, ok := fast.Next()
-		if ok {
-			if opIndex(op) != shardIndex(n, 0, 2) {
-				t.Fatalf("shard 0 op %d: got source index %d, want %d", n, opIndex(op), shardIndex(n, 0, 2))
-			}
-			n++
-			continue
-		}
-		if !fast.Blocked() {
-			t.Fatal("shard 0 hit EOF before parking — source too small for a backpressure park")
-		}
-		return n
-	}
-}
-
-// TestShardTraceWakeBeforeRelease pins the wake-vs-release ordering of the
-// demux under simultaneous EOF and high-water-mark release: when the
-// saturated shard's drain crosses the mark and the source is (or is about to
-// be) exhausted, a parked sibling must be woken BEFORE the shared source is
-// released, so its wake callback still observes a live demux. The wake
-// callback here is synchronous and reentrant — it drains the woken shard to
-// exhaustion from inside the waker's Next, driving the EOF pull and the
-// release attempt within the same delivery sweep (the reentrancy the old
-// single-consumer wake loop did not anticipate).
-func TestShardTraceWakeBeforeRelease(t *testing.T) {
-	// Large enough that shard 0 parks on shard 1's saturated buffer, small
-	// enough that the source is exhausted during the reentrant drain.
-	const n = shardChunkOps * 40
-	ops := make([]isa.Op, n)
-	for i := range ops {
-		ops[i] = isa.Op{Addr: uint64(i) * isa.WordSize}
-	}
-	src := &closeTrackingTrace{SliceTrace: isa.SliceTrace{Ops: ops}}
-	shards := ShardTrace(src, 2)
-	fast := shards[0].(*traceShard)
-
-	wakes, reparks := 0, 0
-	var got [2]int
-	fast.OnReadable(func() {
-		wakes++
-		if src.closed {
-			t.Fatal("wake delivered after the source was released")
-		}
-		// Reentrant consumer: drain shard 0 right here, inside shard 1's
-		// Next. The drain's refill pulls can re-saturate shard 1's buffer
-		// (re-parking this shard — legal, the next crossing re-wakes it) or
-		// hit EOF, which runs a nested wake sweep and a release attempt
-		// while the outer sweep is still mid-delivery.
-		for {
-			op, ok := fast.Next()
-			if !ok {
-				if fast.Blocked() {
-					reparks++
-				}
-				break
-			}
-			if opIndex(op) != shardIndex(got[0], 0, 2) {
-				t.Fatalf("shard 0 op %d: got source index %d, want %d", got[0], opIndex(op), shardIndex(got[0], 0, 2))
-			}
-			got[0]++
-		}
-	})
-
-	got[0] = driveToPark(t, shards)
-	if src.closed {
-		t.Fatal("source released while ops are still undelivered")
-	}
-	// Drain shard 1; every crossing back below the high-water mark fires the
-	// wake (and with it the whole reentrant cascade above).
-	for {
-		op, ok := shards[1].Next()
-		if !ok {
-			break
-		}
-		if opIndex(op) != shardIndex(got[1], 1, 2) {
-			t.Fatalf("shard 1 op %d: got source index %d, want %d", got[1], opIndex(op), shardIndex(got[1], 1, 2))
-		}
-		got[1]++
-	}
-	if wakes == 0 {
-		t.Fatal("parked shard was never woken")
-	}
-	if wakes != reparks+1 {
-		// Every wake but the last ends in a re-park; a mismatch means a
-		// spurious wake (delivered while not parked) or a lost one.
-		t.Fatalf("wakes = %d with %d re-parks, want wakes = re-parks+1", wakes, reparks)
-	}
-	if fast.Blocked() {
-		t.Fatal("shard 0 left parked after the source drained — lost wake")
-	}
-	if got[0] != n/2 || got[1] != n/2 {
-		t.Fatalf("shards delivered %d + %d ops, want %d each", got[0], got[1], n/2)
-	}
-	if !src.closed {
-		t.Fatal("source not released after both shards drained")
-	}
-	if src.closes != 1 {
-		t.Fatalf("source released %d times, want exactly 1", src.closes)
-	}
-}
-
-// TestShardTraceEOFWakesParkedShard pins the EOF wake path without reentry:
-// a shard parked on backpressure when the source runs dry must receive
-// exactly one wake (from the high-water crossing or the EOF sweep) and then
-// observe a permanent EOF — Blocked() false — rather than hanging parked
-// forever on a crossing that can no longer come.
-func TestShardTraceEOFWakesParkedShard(t *testing.T) {
-	const n = shardChunkOps * 40
-	ops := make([]isa.Op, n)
-	for i := range ops {
-		ops[i] = isa.Op{Addr: uint64(i) * isa.WordSize}
-	}
-	src := &closeTrackingTrace{SliceTrace: isa.SliceTrace{Ops: ops}}
-	shards := ShardTrace(src, 2)
-	fast := shards[0].(*traceShard)
-	wakes := 0
-	fast.OnReadable(func() { wakes++ })
-
-	got0 := driveToPark(t, shards)
-	// Drain shard 1 completely: its saturated buffer crosses the mark (one
-	// wake) and its final refill pulls exhaust the source (EOF sweep — no
-	// second wake, shard 0 is no longer parked after the first).
-	got1 := 0
-	for {
-		if _, ok := shards[1].Next(); !ok {
-			break
-		}
-		got1++
-	}
-	if wakes != 1 {
-		t.Fatalf("parked shard woken %d times across drain + EOF, want exactly 1", wakes)
-	}
-	// The woken shard drains its remainder and sees a permanent EOF.
-	for {
-		op, ok := fast.Next()
-		if !ok {
-			break
-		}
-		if opIndex(op) != shardIndex(got0, 0, 2) {
-			t.Fatalf("shard 0 op %d: got source index %d, want %d", got0, opIndex(op), shardIndex(got0, 0, 2))
-		}
-		got0++
-	}
-	if fast.Blocked() {
-		t.Fatal("shard 0 reports transient backpressure at EOF — a consumer would park forever")
-	}
-	if got0 != n/2 || got1 != n/2 {
-		t.Fatalf("shards delivered %d + %d ops, want %d each", got0, got1, n/2)
-	}
-	if src.closes != 1 {
-		t.Fatalf("source released %d times, want exactly 1", src.closes)
-	}
-}
-
 // TestShardTraceCloseIdempotent audits traceShard.Close: closing a shard
 // twice (or closing an already-drained shard) must be a no-op the second
 // time — no panic, no double release of the source, and no effect on
-// siblings. The saturated-close variant double-closes the shard whose
-// buffer holds the high-water mark while a sibling is parked on it, so the
-// second Close must also not re-run the wake sweep.
+// siblings.
 func TestShardTraceCloseIdempotent(t *testing.T) {
 	const n = shardChunkOps * 40
 	ops := make([]isa.Op, n)
@@ -445,27 +220,31 @@ func TestShardTraceCloseIdempotent(t *testing.T) {
 	src := &closeTrackingTrace{SliceTrace: isa.SliceTrace{Ops: ops}}
 	shards := ShardTrace(src, 2)
 	fast := shards[0].(*traceShard)
-	wakes := 0
-	fast.OnReadable(func() { wakes++ })
-
-	driveToPark(t, shards)
+	got := 0
+	for ; got < n/4; got++ { // queues part of shard 1's share
+		if _, ok := fast.Next(); !ok {
+			t.Fatalf("shard 0 refused op %d", got)
+		}
+	}
 	slow := shards[1].(*traceShard)
-	slow.Close() // wipes the saturated buffer: wakes the parked shard 0
-	if wakes != 1 {
-		t.Fatalf("closing the saturated shard woke the parked sibling %d times, want 1", wakes)
-	}
-	slow.Close() // idempotent: no second wake, no state change
-	if wakes != 1 {
-		t.Fatalf("double Close re-ran the wake sweep: %d wakes, want 1", wakes)
-	}
+	slow.Close()
+	slow.Close()
 	if src.closed {
 		t.Fatal("source released while shard 0 still has undelivered ops")
 	}
 	// Shard 0 drains the remaining source (shard 1's chunks are dropped).
 	for {
-		if _, ok := fast.Next(); !ok {
+		op, ok := fast.Next()
+		if !ok {
 			break
 		}
+		if want := shardIndex(got, 0, 2); opIndex(op) != want {
+			t.Fatalf("shard 0 op %d: got source index %d, want %d", got, opIndex(op), want)
+		}
+		got++
+	}
+	if got != n/2 {
+		t.Fatalf("shard 0 delivered %d ops after sibling Close, want %d", got, n/2)
 	}
 	if src.closes != 1 {
 		t.Fatalf("source released %d times after drain, want exactly 1", src.closes)
@@ -474,5 +253,66 @@ func TestShardTraceCloseIdempotent(t *testing.T) {
 	fast.Close()
 	if src.closes != 1 {
 		t.Fatalf("double Close released the source again: %d closes, want 1", src.closes)
+	}
+}
+
+// TestShardTraceSingleCoreIsSource pins that one core reads the source
+// itself, with no demux in between.
+func TestShardTraceSingleCoreIsSource(t *testing.T) {
+	src := isa.NewSliceTrace(nil)
+	shards := ShardTrace(src, 1)
+	if len(shards) != 1 || shards[0] != isa.TraceReader(src) {
+		t.Fatalf("ShardTrace(src, 1) = %v, want [src]", shards)
+	}
+}
+
+// TestShardTraceMatchesPresplit pins delivery independence: a 4-core run
+// through the streaming demux must equal, bit for bit, the same machine fed
+// four slices of the compiled trace pre-split by chunk index. A shard never
+// refuses an op its source still holds, so when each core gets its next op
+// is decided by the simulated machine alone, not by host-side buffering.
+func TestShardTraceMatchesPresplit(t *testing.T) {
+	spec := RunSpec{Bench: "ssyr2k", N: 32, Design: core.D1DiffSet, LLCBytes: core.MB, Scale: 16, Cores: 4}
+	got, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	kern, err := workloads.Build(spec.Bench, spec.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.Compile(kern, compiler.Target{Logical2D: spec.Design.Logical2D()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := make([][]isa.Op, spec.Cores)
+	for i, op := range isa.Collect(prog.Trace()) {
+		c := i / shardChunkOps % spec.Cores
+		split[c] = append(split[c], op)
+	}
+	traces := make([]isa.TraceReader, spec.Cores)
+	for c := range traces {
+		traces[c] = isa.NewSliceTrace(split[c])
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.RunTraces(traces...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	key := SpecKey(spec)
+	if err := DiffRunResults(
+		[]SweepRun{{Spec: spec, Key: key, Results: got}},
+		[]SweepRun{{Spec: spec, Key: key, Results: want}},
+	); err != nil {
+		t.Fatalf("demuxed run differs from the pre-split run: %v", err)
 	}
 }

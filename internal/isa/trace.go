@@ -16,20 +16,12 @@ type Closer interface {
 	Close()
 }
 
-// Blocker is implemented by traces whose Next can fail transiently: a false
-// Next with Blocked() true means "no op available right now" — backpressure,
-// not end of trace. A false Next with Blocked() false remains permanent
-// exhaustion. Consumers that park on a blocked trace register a wake
-// callback via OnReadable; the trace invokes it whenever a previously
-// refused pull may now succeed (including when the trace learns it is
-// exhausted, so a parked consumer always observes the final EOF).
+// Blocker is implemented by no trace in this module: a false Next always
+// means the trace is exhausted. It stays only because the repository
+// benchmark (benchmark/layers.go) type-asserts it; delete it once that code
+// no longer does.
 type Blocker interface {
-	// Blocked reports whether the most recent failed Next was transient
-	// backpressure rather than exhaustion.
 	Blocked() bool
-	// OnReadable registers fn as this reader's wake callback, replacing any
-	// previous registration (one callback per reader).
-	OnReadable(fn func())
 }
 
 // SliceTrace adapts a slice of ops to TraceReader.
