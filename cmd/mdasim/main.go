@@ -204,7 +204,7 @@ func main() {
 		spec.Bench = "trace:" + *traceFile
 		res, err = runTraceFile(spec, *traceFile, ins.Tracer)
 	} else {
-		res, err = experiments.RunInstrumented(spec, ins)
+		res, err = experiments.RunWith(context.Background(), spec, ins)
 	}
 	if cerr := ins.Tracer.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("writing %s: %w", *traceOut, cerr)

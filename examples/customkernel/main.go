@@ -59,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := machine.Run(prog.Trace())
+		res, err := machine.RunTraces(prog.Trace())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,6 +64,40 @@ func TestL1HitPathAllocFreeWithDisabledTracer(t *testing.T) {
 	pinHitPath(t, q, c)
 }
 
+// pinLineFillHit measures a steady-state line Fill hit served to the level
+// above: the line travels in the event queue's ScheduleData slot, so the
+// whole Fill→done cycle must be alloc-free once the slot pool is warm.
+func pinLineFillHit(t *testing.T, q *sim.EventQueue, c Backend, id isa.LineID) {
+	t.Helper()
+	done := func(uint64, *[isa.WordsPerLine]uint64) {}
+	for i := 0; i < 4; i++ { // warm the event queue's slot pool and wheel
+		c.Fill(q.Now(), id, done)
+		q.Run(0)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		c.Fill(q.Now(), id, done)
+		q.Run(0)
+	}); n != 0 {
+		t.Fatalf("line Fill hit allocates %v times per fill, want 0", n)
+	}
+}
+
+// TestLineFillHitAllocFreeCache1P pins 0 allocs on a Cache1P serving a
+// resident line upward: the fill path every L2/LLC hit takes.
+func TestLineFillHitAllocFreeCache1P(t *testing.T) {
+	q, c := allocCache(t, nil)
+	pinLineFillHit(t, q, c, isa.LineOf(0x40, isa.Row))
+}
+
+// TestLineFillHitAllocFreeCache2P pins the same path on a tile cache, which
+// gathers the line out of its tile before handing it upward.
+func TestLineFillHitAllocFreeCache2P(t *testing.T) {
+	q, c, _ := test2P2L(t, false)
+	id := isa.LineOf(0x40, isa.Col)
+	fill(t, q, c, id) // miss once; every later Fill of id hits
+	pinLineFillHit(t, q, c, id)
+}
+
 // TestPrefetchObserveAllocFree is the regression pin for the stride
 // prefetcher's per-trigger address list: once a PC is confident, observe must
 // reuse its buffers and allocate nothing.

@@ -35,7 +35,7 @@ func TestConcurrentMachinesDeterministic(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					res, err := m.Run(isa.NewSliceTrace(ops))
+					res, err := m.RunTraces(isa.NewSliceTrace(ops))
 					if err != nil {
 						t.Error(err)
 						return
@@ -168,7 +168,7 @@ func TestConcurrentFaultInjectionDeterministic(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, err := m.Run(isa.NewSliceTrace(ops))
+			res, err := m.RunTraces(isa.NewSliceTrace(ops))
 			if err != nil {
 				t.Error(err)
 				return

@@ -192,35 +192,24 @@ func (r *Results) L1() *LevelStats { return &r.Levels[0] }
 // vanishes, small enough that a runaway simulation is caught promptly.
 const watchdogStride = 1 << 16
 
-// Run drives the machine over the trace to completion and returns the
-// results. A Machine is single-use: build a fresh one per run.
+// RunTraces drives the machine with one trace per core (core i consumes
+// traces[i]) to completion and returns the results. A Machine is
+// single-use: build a fresh one per run.
 //
 // Abnormal conditions return a *sim.Error instead of panicking: a hierarchy
 // that stops making progress yields sim.ErrDeadlock with a diagnostic dump
 // (see StallDiag), a run exceeding Cfg.MaxCycles yields sim.ErrCycleLimit,
 // and structural violations reported by components (sim.ErrInvalidAccess,
 // sim.ErrWriteFault) propagate as recorded.
-func (m *Machine) Run(trace isa.TraceReader) (*Results, error) {
-	return m.RunCtx(context.Background(), trace)
-}
-
-// RunCtx is Run under a context: cancellation or a deadline aborts the
-// simulation with sim.ErrTimeout (checked every watchdogStride events), so a
-// sweep can bound the wall-clock cost of any single design point.
-func (m *Machine) RunCtx(ctx context.Context, trace isa.TraceReader) (*Results, error) {
-	return m.RunTracesCtx(ctx, trace)
-}
-
-// RunTraces drives a multi-core machine with one trace per core (core i
-// consumes traces[i]); see Run. Single-core machines accept exactly one
-// trace, making RunTraces a superset of Run.
 func (m *Machine) RunTraces(traces ...isa.TraceReader) (*Results, error) {
 	return m.RunTracesCtx(context.Background(), traces...)
 }
 
-// RunTracesCtx is RunTraces under a context; see RunCtx. The run ends when
-// every core has completed its trace; Results.Cycles is the completion cycle
-// of the last core to finish.
+// RunTracesCtx is RunTraces under a context: cancellation or a deadline
+// aborts the simulation with sim.ErrTimeout (checked every watchdogStride
+// events), so a sweep can bound the wall-clock cost of any single design
+// point. The run ends when every core has completed its trace;
+// Results.Cycles is the completion cycle of the last core to finish.
 func (m *Machine) RunTracesCtx(ctx context.Context, traces ...isa.TraceReader) (*Results, error) {
 	defer func() {
 		for _, t := range traces {

@@ -62,6 +62,8 @@ type mshrFile struct {
 	// Stalled accesses wait in a head-index ring (FIFO). A plain
 	// `waiters = waiters[1:]` pop would pin every popped element's backing
 	// array forever; the ring reuses one buffer and zeroes popped slots.
+	// TestMSHRWaiterRingFIFO and TestMSHRWaiterRingBoundedCapacity pin
+	// the order and the bounded buffer.
 	waiters []waiter
 	wHead   int
 	wLen    int

@@ -22,7 +22,7 @@ func memDefaultsForTest() mem.Params {
 // simulation error (the watchdog/typed-error paths get their own tests).
 func mustRun(t testing.TB, m *Machine, tr isa.TraceReader) *Results {
 	t.Helper()
-	res, err := m.Run(tr)
+	res, err := m.RunTraces(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func stuckMachine(t *testing.T) *Machine {
 
 func TestDeadlockReturnsTypedError(t *testing.T) {
 	m := stuckMachine(t)
-	_, err := m.Run(isa.NewSliceTrace([]isa.Op{{Addr: 0}}))
+	_, err := m.RunTraces(isa.NewSliceTrace([]isa.Op{{Addr: 0}}))
 	if !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("err = %v, want sim.ErrDeadlock", err)
 	}
@@ -69,7 +69,7 @@ func TestCycleLimitReturnsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Run(isa.NewSliceTrace([]isa.Op{{Addr: 0}}))
+	_, err = m.RunTraces(isa.NewSliceTrace([]isa.Op{{Addr: 0}}))
 	if !errors.Is(err, sim.ErrCycleLimit) {
 		t.Fatalf("err = %v, want sim.ErrCycleLimit", err)
 	}
@@ -82,7 +82,7 @@ func TestContextCancelReturnsTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the first watchdog check must abort
-	_, err = m.RunCtx(ctx, isa.NewSliceTrace([]isa.Op{{Addr: 0}}))
+	_, err = m.RunTracesCtx(ctx, isa.NewSliceTrace([]isa.Op{{Addr: 0}}))
 	if !errors.Is(err, sim.ErrTimeout) {
 		t.Fatalf("err = %v, want sim.ErrTimeout", err)
 	}
@@ -93,7 +93,7 @@ func TestColumnOn1DHierarchyReturnsInvalidAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Run(isa.NewSliceTrace([]isa.Op{
+	_, err = m.RunTraces(isa.NewSliceTrace([]isa.Op{
 		{Addr: 0, Orient: isa.Col},
 	}))
 	if !errors.Is(err, sim.ErrInvalidAccess) {
@@ -115,7 +115,7 @@ func TestHealthyRunUnaffectedByWatchdog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Run(isa.NewSliceTrace(randomTrace(11, 800, 8, false)))
+		res, err := m.RunTraces(isa.NewSliceTrace(randomTrace(11, 800, 8, false)))
 		if err != nil {
 			t.Fatal(err)
 		}

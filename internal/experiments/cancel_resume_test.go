@@ -119,7 +119,7 @@ func TestTimeoutFailureNotMemoised(t *testing.T) {
 			if SpecKey(spec) == victim {
 				return nil, &sim.Error{Component: "hierarchy", Op: "run", Err: sim.ErrTimeout, Detail: "injected"}
 			}
-			return RunInstrumentedCtx(ctx, spec, ins)
+			return RunWith(ctx, spec, ins)
 		},
 	}
 	first, err := RunSweep(context.Background(), specs, opt)

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mdacache/internal/compiler"
 	"mdacache/internal/core"
+	"mdacache/internal/stats"
 )
 
 // fastSuite returns a suite small enough for unit tests: scale 8 (64×64
@@ -380,6 +384,71 @@ func TestReportClaims(t *testing.T) {
 		if c.Measured == 0 {
 			t.Errorf("%s %s: zero measurement", c.Figure, c.Metric)
 		}
+	}
+}
+
+// TestReportClaimsCiteTables checks that every Report claim equals the
+// Average cell of the figure table it summarises, and that Fig. 17's claim
+// agrees with the ratio of that table's 1P2L and 1P1L-fast columns.
+func TestReportClaimsCiteTables(t *testing.T) {
+	s := fastSuite("sobel", "htap2")
+	claims, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig11, err := s.Fig11()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig12s, err := s.Fig12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fig12 *stats.Table
+	for i, llc := range LLCSizes() {
+		if llc == core.MB {
+			fig12 = fig12s[i]
+		}
+	}
+	fig14, err := s.Fig14()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig16, err := s.Fig16()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig17, err := s.Fig17()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		t   *stats.Table
+		col int
+	}{{fig12, 1}, {fig12, 2}, {fig12, 3}, {fig11, 1}, {fig14, 1}, {fig14, 4}, {fig16, 3}}
+	if len(claims) != len(want)+1 {
+		t.Fatalf("Report made %d claims, want %d", len(claims), len(want)+1)
+	}
+	for i, w := range want {
+		row := w.t.Rows[len(w.t.Rows)-1]
+		if row[0] != "Average" {
+			t.Fatalf("%q: last row is %q, not Average", w.t.Title, row[0])
+		}
+		if got := fmt.Sprintf("%.3f", claims[i].Measured); got != row[w.col] {
+			t.Errorf("%s %q = %s, but %q Average column %d reads %s",
+				claims[i].Figure, claims[i].Metric, got, w.t.Title, w.col, row[w.col])
+		}
+	}
+	var ratios []float64
+	for _, row := range fig17.Rows[:len(fig17.Rows)-1] {
+		fast, _ := strconv.ParseFloat(row[1], 64)
+		slow, _ := strconv.ParseFloat(row[2], 64)
+		ratios = append(ratios, slow/fast)
+	}
+	c17 := claims[len(claims)-1]
+	if c17.Figure != "Fig. 17" || math.Abs(c17.Measured-stats.GeoMean(ratios)) > 0.01 {
+		t.Errorf("%s %q = %.3f, Fig. 17 table's 1P2L / 1P1L-fast geomean is %.3f",
+			c17.Figure, c17.Metric, c17.Measured, stats.GeoMean(ratios))
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -144,7 +145,7 @@ func (s *Suite) simulate(spec RunSpec) (*core.Results, error) {
 	if s.Profiles != nil {
 		ins.Profile = &obs.RunProfile{Name: spec.String()}
 	}
-	r, err := RunInstrumented(spec, ins)
+	r, err := RunWith(context.Background(), spec, ins)
 	if err != nil {
 		return nil, err
 	}
@@ -213,34 +214,43 @@ func (s *Suite) Fig11() (*stats.Table, error) {
 func (s *Suite) Fig12() ([]*stats.Table, error) {
 	var tables []*stats.Table
 	for _, llc := range LLCSizes() {
-		t := stats.NewTable(
-			fmt.Sprintf("Fig. 12: total cycles normalized to 1P1L+prefetch (%.1fMB LLC)", float64(llc)/float64(core.MB)),
-			"bench", "1P2L", "1P2L_SameSet", "2P2L")
-		means := make([][]float64, len(MDADesigns))
-		for _, b := range s.Benches {
-			base, err := s.run(s.baseSpec(b, core.D0Baseline, llc))
-			if err != nil {
-				return nil, err
-			}
-			row := []interface{}{b}
-			for di, d := range MDADesigns {
-				r, err := s.run(s.baseSpec(b, d, llc))
-				if err != nil {
-					return nil, err
-				}
-				norm := ratio(float64(r.Cycles), float64(base.Cycles))
-				means[di] = append(means[di], norm)
-				row = append(row, norm)
-			}
-			t.AddRow(row...)
+		t, err := s.fig12Table(llc)
+		if err != nil {
+			return nil, err
 		}
-		// Normalized ratios average geometrically (the paper's convention
-		// for speedup-style figures); GeoMean skips non-positive entries,
-		// so a degenerate zero-cycle ratio cannot zero out the whole row.
-		t.AddRow("Average", stats.GeoMean(means[0]), stats.GeoMean(means[1]), stats.GeoMean(means[2]))
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// fig12Table is Fig. 12's table for one LLC capacity.
+func (s *Suite) fig12Table(llc int) (*stats.Table, error) {
+	t := stats.NewTable(
+		fmt.Sprintf("Fig. 12: total cycles normalized to 1P1L+prefetch (%.1fMB LLC)", float64(llc)/float64(core.MB)),
+		"bench", "1P2L", "1P2L_SameSet", "2P2L")
+	means := make([][]float64, len(MDADesigns))
+	for _, b := range s.Benches {
+		base, err := s.run(s.baseSpec(b, core.D0Baseline, llc))
+		if err != nil {
+			return nil, err
+		}
+		row := []interface{}{b}
+		for di, d := range MDADesigns {
+			r, err := s.run(s.baseSpec(b, d, llc))
+			if err != nil {
+				return nil, err
+			}
+			norm := ratio(float64(r.Cycles), float64(base.Cycles))
+			means[di] = append(means[di], norm)
+			row = append(row, norm)
+		}
+		t.AddRow(row...)
+	}
+	// Normalized ratios average geometrically (the paper's convention
+	// for speedup-style figures); GeoMean skips non-positive entries,
+	// so a degenerate zero-cycle ratio cannot zero out the whole row.
+	t.AddRow("Average", stats.GeoMean(means[0]), stats.GeoMean(means[1]), stats.GeoMean(means[2]))
+	return t, nil
 }
 
 // Fig13 reproduces the cache-resident study: the small input on a
@@ -538,7 +548,7 @@ func (s *Suite) AblationLoopOrder() (*stats.Table, error) {
 			spec := s.baseSpec("sgemm", d, 1*core.MB)
 			spec.Scale = s.Scale
 			s.logf("running sgemm order=%v on %v ...", order, d)
-			r, err := RunKernel(kern, spec)
+			r, err := RunKernelWith(context.Background(), kern, spec, Instrument{})
 			if err != nil {
 				return nil, err
 			}
@@ -639,7 +649,7 @@ func (s *Suite) AblationMapping() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := m.Run(prog.Trace())
+			r, err := m.RunTraces(prog.Trace())
 			if err != nil {
 				return nil, err
 			}

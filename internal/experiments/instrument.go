@@ -31,14 +31,14 @@ type Instrument struct {
 	Profile *obs.RunProfile
 }
 
-// RunInstrumented is Run with observability hooks.
-func RunInstrumented(spec RunSpec, ins Instrument) (*core.Results, error) {
-	return RunInstrumentedCtx(context.Background(), spec, ins)
-}
-
-// RunInstrumentedCtx is RunCtx with observability hooks: the kernel build and
-// tiling are charged to the "workload" phase of ins.Profile.
-func RunInstrumentedCtx(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
+// RunWith executes the spec under ctx with observability hooks. Cancelling
+// ctx aborts the simulation with sim.ErrTimeout. A panic in compilation or
+// simulation is recovered into an error, so one broken design point cannot
+// abort a sweep, and the spec's Timeout (wall clock) and MaxCycles
+// (simulated clock) budgets are both enforced. For a benchmark spec the
+// kernel build and tiling are charged to the "workload" phase of
+// ins.Profile; RunKernelWith does the rest.
+func RunWith(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
 	if spec.Workload != "" {
 		return runRequestInstrumentedCtx(ctx, spec, ins)
 	}
@@ -55,14 +55,16 @@ func RunInstrumentedCtx(ctx context.Context, spec RunSpec, ins Instrument) (*cor
 		compiler.TileKernel(kern, sizes)
 	}
 	ins.Profile.Add(obs.ProfilePhase{Name: "workload", Wall: time.Since(t0)})
-	return RunKernelInstrumentedCtx(ctx, kern, spec, ins)
+	return RunKernelWith(ctx, kern, spec, ins)
 }
 
-// RunKernelInstrumentedCtx is RunKernelCtx with observability hooks. Phase
-// accounting: "compile" covers trace compilation, "build" machine
-// construction, "simulate" the event loop (with simulated cycles and executed
-// event counts attached).
-func RunKernelInstrumentedCtx(ctx context.Context, kern *compiler.Kernel, spec RunSpec, ins Instrument) (*core.Results, error) {
+// RunKernelWith compiles an arbitrary kernel for the spec's design point and
+// runs it as RunWith does: the entry point for ablations that rewrite the
+// benchmark (loop interchange, custom schedules). The kernel is mutated by
+// compilation; build a fresh one per call. Phase accounting: "compile"
+// covers trace compilation, "build" machine construction, "simulate" the
+// event loop (with simulated cycles and executed event counts attached).
+func RunKernelWith(ctx context.Context, kern *compiler.Kernel, spec RunSpec, ins Instrument) (*core.Results, error) {
 	return runStreams(ctx, spec, ins, "compile", func(cores int) ([]isa.TraceReader, error) {
 		prog, err := compiler.Compile(kern, compiler.Target{
 			Logical2D: spec.Design.Logical2D(),

@@ -138,7 +138,7 @@ func TestTracedRunIsObservationOnly(t *testing.T) {
 	for _, format := range []obs.Format{obs.FormatJSONL, obs.FormatChrome} {
 		var buf bytes.Buffer
 		tr := obs.NewTracer(&buf, obs.TraceConfig{Format: format})
-		r, err := RunInstrumented(spec, Instrument{Tracer: tr})
+		r, err := RunWith(context.Background(), spec, Instrument{Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestTracedRunIsObservationOnly(t *testing.T) {
 // simulate carries the run's cycles and a non-zero event count.
 func TestRunProfilePhases(t *testing.T) {
 	p := &obs.RunProfile{Name: "test"}
-	r, err := RunInstrumented(obsSpec(core.D1DiffSet), Instrument{Profile: p})
+	r, err := RunWith(context.Background(), obsSpec(core.D1DiffSet), Instrument{Profile: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSweepProfileOption(t *testing.T) {
 // TestProfileTableRenders smoke-tests the profile renderer on real data.
 func TestProfileTableRenders(t *testing.T) {
 	p := &obs.RunProfile{Name: "x"}
-	if _, err := RunInstrumented(obsSpec(core.D0Baseline), Instrument{Profile: p}); err != nil {
+	if _, err := RunWith(context.Background(), obsSpec(core.D0Baseline), Instrument{Profile: p}); err != nil {
 		t.Fatal(err)
 	}
 	out := ProfileTable([]*obs.RunProfile{p, nil}).String()
@@ -247,7 +247,7 @@ func BenchmarkRunInstrumented(b *testing.B) {
 	spec := obsSpec(core.D1DiffSet)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunInstrumented(spec, Instrument{}); err != nil {
+		if _, err := RunWith(context.Background(), spec, Instrument{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -194,30 +194,8 @@ func measureMix(bench string, n int) (compiler.Mix, error) {
 	return prog.MeasureMix(), nil
 }
 
-// Run executes the spec and returns the machine results.
+// Run executes the spec and returns the machine results: RunWith under a
+// background context with no observability hooks.
 func Run(spec RunSpec) (*core.Results, error) {
-	return RunCtx(context.Background(), spec)
-}
-
-// RunCtx is Run under a context; cancellation aborts the simulation with
-// sim.ErrTimeout.
-func RunCtx(ctx context.Context, spec RunSpec) (*core.Results, error) {
-	return RunInstrumentedCtx(ctx, spec, Instrument{})
-}
-
-// RunKernel compiles an arbitrary kernel for the spec's design point and
-// runs it — the entry point for ablations that rewrite the benchmark (loop
-// interchange, custom schedules). The kernel is mutated by compilation;
-// build a fresh one per call.
-func RunKernel(kern *compiler.Kernel, spec RunSpec) (*core.Results, error) {
-	return RunKernelCtx(context.Background(), kern, spec)
-}
-
-// RunKernelCtx compiles and runs kern with crash isolation: a panic anywhere
-// in compilation or simulation is recovered into an error instead of taking
-// down the caller, so one broken design point cannot abort a sweep. The
-// spec's Timeout (wall clock) and MaxCycles (simulated clock) budgets are
-// both enforced here.
-func RunKernelCtx(ctx context.Context, kern *compiler.Kernel, spec RunSpec) (*core.Results, error) {
-	return RunKernelInstrumentedCtx(ctx, kern, spec, Instrument{})
+	return RunWith(context.Background(), spec, Instrument{})
 }

@@ -83,7 +83,7 @@ type SweepOptions struct {
 	// it briefly holds up the worker that finished the run.
 	OnRun func(index int, run SweepRun)
 
-	// Run, when non-nil, replaces RunInstrumentedCtx as the executor of
+	// Run, when non-nil, replaces RunWith as the executor of
 	// each attempt. Services layer cross-job caches and single-flight
 	// sharing here; the checkpoint, retry and budget plumbing all stay in
 	// RunSweep. The function must be safe for concurrent calls and
@@ -221,7 +221,7 @@ func RunSweep(ctx context.Context, specs []RunSpec, opt SweepOptions) ([]SweepRu
 	}
 	runFn := opt.Run
 	if runFn == nil {
-		runFn = RunInstrumentedCtx
+		runFn = RunWith
 	}
 
 	runs := make([]SweepRun, len(specs))

@@ -182,7 +182,7 @@ func TestSweepTableAnnotatesFailures(t *testing.T) {
 
 func TestRunKernelRecoversPanic(t *testing.T) {
 	// A structurally broken kernel (nil array in a ref) panics inside the
-	// compiler; RunKernel must convert that into an error, not crash.
+	// compiler; RunKernelWith must convert that into an error, not crash.
 	kern := &compiler.Kernel{
 		Name: "broken",
 		Nests: []compiler.Nest{{
@@ -192,7 +192,7 @@ func TestRunKernelRecoversPanic(t *testing.T) {
 			}},
 		}},
 	}
-	_, err := RunKernel(kern, testSpec("sgemm", core.D0Baseline))
+	_, err := RunKernelWith(context.Background(), kern, testSpec("sgemm", core.D0Baseline), Instrument{})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic not recovered into error: %v", err)
 	}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"sort"
+
 	"mdacache/internal/isa"
 )
 
@@ -14,43 +16,45 @@ import (
 // word, and the test suite exploits this to verify the coherence of the
 // duplicate-handling policies against a flat oracle.
 //
-// Tile payloads live in an off-heap arena on platforms that support it
-// (mmap-backed on Linux, see store_linux.go), with an open-addressing index
-// whose arrays are also arena-allocated: a multi-gigabyte simulated
-// footprint adds O(1) to the Go heap and zero GC scan work. Other platforms
-// fall back to a heap map with identical semantics (store_fallback.go).
+// Tiles live in a plain heap map keyed by tile base, allocated on first
+// write. The paper's inputs touch a few megabytes (at N=512 no kernel's
+// footprint exceeds 6 MiB), so the map costs the GC little.
 type Store struct {
-	tiles tileIndex
+	tiles map[uint64]*[isa.TileWords]uint64
 }
 
 // NewStore returns an empty store. Unwritten words read as zero.
 func NewStore() *Store {
-	s := &Store{}
-	s.tiles.init(s)
-	return s
-}
-
-func (s *Store) tile(base uint64, create bool) *[isa.TileWords]uint64 {
-	return s.tiles.get(base, create)
+	return &Store{tiles: make(map[uint64]*[isa.TileWords]uint64)}
 }
 
 // ReadWord returns the word at the given (word-aligned) byte address.
 func (s *Store) ReadWord(addr uint64) uint64 {
-	t := s.tile(isa.TileBase(addr), false)
+	t := s.tiles[isa.TileBase(addr)]
 	if t == nil {
 		return 0
 	}
 	return t[isa.WordIndex(addr)]
 }
 
+// writeTile returns the tile at base, allocating it on first use.
+func (s *Store) writeTile(base uint64) *[isa.TileWords]uint64 {
+	t := s.tiles[base]
+	if t == nil {
+		t = new([isa.TileWords]uint64)
+		s.tiles[base] = t
+	}
+	return t
+}
+
 // WriteWord stores v at the given (word-aligned) byte address.
 func (s *Store) WriteWord(addr uint64, v uint64) {
-	s.tile(isa.TileBase(addr), true)[isa.WordIndex(addr)] = v
+	s.writeTile(isa.TileBase(addr))[isa.WordIndex(addr)] = v
 }
 
 // ReadLine returns the 8 words of a row or column line.
 func (s *Store) ReadLine(line isa.LineID) (data [isa.WordsPerLine]uint64) {
-	t := s.tile(line.Tile(), false)
+	t := s.tiles[line.Tile()]
 	if t == nil {
 		return data
 	}
@@ -66,7 +70,7 @@ func (s *Store) WriteLine(line isa.LineID, mask uint8, data [isa.WordsPerLine]ui
 	if mask == 0 {
 		return
 	}
-	t := s.tile(line.Tile(), true)
+	t := s.writeTile(line.Tile())
 	for i := uint(0); i < isa.WordsPerLine; i++ {
 		if mask&(1<<i) != 0 {
 			t[isa.WordIndex(line.WordAddr(i))] = data[i]
@@ -75,24 +79,25 @@ func (s *Store) WriteLine(line isa.LineID, mask uint8, data [isa.WordsPerLine]ui
 }
 
 // Tiles returns the number of distinct tiles ever written.
-func (s *Store) Tiles() int { return s.tiles.count() }
-
-// Footprint reports the bytes of backing memory the store holds (tile
-// payloads plus index structures). On arena-backed platforms none of it is
-// on the Go heap.
-func (s *Store) Footprint() uint64 { return s.tiles.footprint() }
+func (s *Store) Tiles() int { return len(s.tiles) }
 
 // ForEachWord invokes fn for every non-zero word in the store, in ascending
-// address order (deterministic despite the unordered index). The conformance
+// address order (deterministic despite the unordered map). The conformance
 // harness walks the store this way to detect ghost writes: words the memory
 // holds that the reference model never stored.
 func (s *Store) ForEachWord(fn func(addr, v uint64)) {
-	s.tiles.forEachTile(func(b uint64, t *[isa.TileWords]uint64) {
+	bases := make([]uint64, 0, len(s.tiles))
+	for b := range s.tiles {
+		bases = append(bases, b)
+	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	for _, b := range bases {
+		t := s.tiles[b]
 		for i := range t {
 			if t[i] != 0 {
 				// Word index i is row-major: addr = base + i*WordSize.
 				fn(b+uint64(i)*isa.WordSize, t[i])
 			}
 		}
-	})
+	}
 }

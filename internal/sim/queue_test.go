@@ -200,8 +200,8 @@ func TestFarFutureWindowedDispatch(t *testing.T) {
 }
 
 // TestBatchedDispatchOrder floods single cycles with events that reschedule
-// into the same and nearby cycles, and checks Run's batched dispatch executes
-// the exact order Step produces.
+// into the same and nearby cycles, and checks Run executes the exact order
+// Step produces while it drains a crowded cycle.
 func TestBatchedDispatchOrder(t *testing.T) {
 	build := func() (*EventQueue, *[]int) {
 		q := &EventQueue{}
@@ -240,14 +240,15 @@ func TestBatchedDispatchOrder(t *testing.T) {
 	qb, ob := build()
 	qb.Run(0)
 	if !reflect.DeepEqual(*oa, *ob) {
-		t.Fatalf("batched Run order diverges from Step order:\nstep: %v\nrun:  %v", *oa, *ob)
+		t.Fatalf("Run order diverges from Step order:\nstep: %v\nrun:  %v", *oa, *ob)
 	}
 	if len(*oa) == 0 {
 		t.Fatal("no events ran")
 	}
 }
 
-// TestRunBoundedEventBudgetWithBatch checks maxEvents is honored mid-batch.
+// TestRunBoundedEventBudgetWithBatch checks maxEvents is honored partway
+// through one cycle's events, and that the next call resumes there.
 func TestRunBoundedEventBudgetWithBatch(t *testing.T) {
 	var q EventQueue
 	n := 0
