@@ -1,15 +1,15 @@
 // Command mdaserve runs the MDACache simulation service: a long-running HTTP
 // daemon that accepts simulation and sweep jobs, enforces per-job budgets,
 // sheds load when the queue is full, streams per-run progress, and survives
-// crashes — job state and sweep checkpoints live under -state-dir, and a
-// restarted daemon resumes interrupted jobs exactly where they stopped.
+// crashes — job state and sweep checkpoints live under -state-dir (required),
+// and a restarted daemon resumes interrupted jobs exactly where they stopped.
 //
 // Examples:
 //
-//	mdaserve -state-dir /var/lib/mdaserve                 # durable daemon
-//	mdaserve -addr 127.0.0.1:0 -state-dir ./state         # ephemeral port
-//	mdaserve -max-active 2 -workers 4 -max-queue 32       # sizing
-//	mdaserve -timeout 5m -max-cycles 2e9                  # default budgets
+//	mdaserve -state-dir /var/lib/mdaserve                          # defaults
+//	mdaserve -state-dir ./state -addr 127.0.0.1:0                  # any free port
+//	mdaserve -state-dir ./state -max-active 2 -workers 4 -max-queue 32
+//	mdaserve -state-dir ./state -timeout 5m -max-cycles 2000000000 # default budgets
 //
 // Fleet mode: several daemons sharing one -state-dir form a work-stealing
 // fleet. Each carries a -node-id; durable jobs hold a lease that the owner
@@ -61,7 +61,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-		stateDir  = flag.String("state-dir", "", "durable job-state directory; empty disables persistence and resume")
+		stateDir  = flag.String("state-dir", "", "durable job-state directory (required): job records, checkpoints and event logs; a restart on it resumes interrupted jobs")
 		maxQueue  = flag.Int("max-queue", 64, "queued-job bound; submissions beyond it get 429")
 		maxActive = flag.Int("max-active", 1, "jobs running concurrently")
 		workers   = flag.Int("workers", 0, "sweep worker pool per job (0 = GOMAXPROCS)")
@@ -92,14 +92,14 @@ func main() {
 		runClient(*peers, *submit, *watchID, *wait)
 		return
 	}
+	if *stateDir == "" {
+		usagef("-state-dir is required")
+	}
 	if *maxQueue < 1 || *maxActive < 1 {
 		usagef("-max-queue and -max-active must be >= 1")
 	}
 	if *timeout < 0 || *drainFor < 0 {
 		usagef("-timeout and -drain-timeout must be non-negative")
-	}
-	if *nodeID != "" && *stateDir == "" {
-		usagef("-node-id (fleet mode) requires -state-dir")
 	}
 	if *lease <= 0 {
 		usagef("-lease must be positive")
@@ -132,7 +132,7 @@ func main() {
 	}
 
 	fmt.Printf("mdaserve: listening on %s\n", ln.Addr())
-	if *stateDir != "" && *nodeID == "" {
+	if *nodeID == "" {
 		// Publish the bound address (meaningful with :0) so clients and the
 		// test harness can find a daemon by its state dir alone. Fleet nodes
 		// advertise through the membership directory instead — N daemons

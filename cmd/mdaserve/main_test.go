@@ -22,16 +22,23 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, "mdacache/cmd/mdaserve") }
 
 func TestUsageErrors(t *testing.T) {
-	cases := [][]string{
-		{"-max-queue", "0"},
-		{"-max-active", "0"},
-		{"-timeout", "-1s"},
-		{"positional"},
-		{"-no-such-flag"},
+	dir := t.TempDir()
+	cases := []struct {
+		args []string
+		want string // in stderr
+	}{
+		{nil, "-state-dir is required"},
+		{[]string{"-addr", "127.0.0.1:0"}, "-state-dir is required"},
+		{[]string{"-state-dir", dir, "-max-queue", "0"}, "-max-queue and -max-active must be >= 1"},
+		{[]string{"-state-dir", dir, "-max-active", "0"}, "-max-queue and -max-active must be >= 1"},
+		{[]string{"-state-dir", dir, "-timeout", "-1s"}, "must be non-negative"},
+		{[]string{"positional"}, "unexpected arguments"},
+		{[]string{"-no-such-flag"}, "not defined"},
 	}
-	for _, args := range cases {
-		if res := clitest.Run(t, "mdaserve", args...); res.Code != 2 {
-			t.Errorf("mdaserve %v: exit %d, want 2\nstderr: %s", args, res.Code, res.Stderr)
+	for _, c := range cases {
+		res := clitest.Run(t, "mdaserve", c.args...)
+		if res.Code != 2 || !strings.Contains(res.Stderr, c.want) {
+			t.Errorf("mdaserve %v: exit %d, want 2 with %q\nstderr: %s", c.args, res.Code, c.want, res.Stderr)
 		}
 	}
 }

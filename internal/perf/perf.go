@@ -207,7 +207,7 @@ func benchThroughput(b *testing.B) {
 }
 
 // benchRequestThroughput measures the request-driven path end to end: the
-// streaming generator, the per-core backpressure protocol, and a four-core
+// streaming generator feeding one request stream per core, and a four-core
 // shared hierarchy under a Zipf-skewed KV load.
 func benchRequestThroughput(b *testing.B) {
 	var ops uint64

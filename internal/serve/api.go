@@ -8,8 +8,8 @@
 //
 //   - Admission control: a bounded queue sheds load with typed 429/503
 //     responses instead of degrading in-flight jobs.
-//   - Budgets: every run carries a simulated-cycle and wall-clock budget,
-//     clamped to server-wide maxima.
+//   - Budgets: every run carries a simulated-cycle and wall-clock budget;
+//     a submission that names none gets the server's defaults.
 //   - Isolation: a panicking worker fails only its own job.
 //   - Durability: job state and sweep checkpoints are written atomically and
 //     fsynced; transient write failures are retried with backoff.
@@ -68,9 +68,6 @@ const (
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
-
-// Resumable reports whether a restarted daemon should re-admit the job.
-func (s State) Resumable() bool { return !s.Terminal() }
 
 // Service-level error codes. They extend the sim taxonomy (sim.Code) with
 // the conditions only a service has; like sim codes, the values are a schema
@@ -190,9 +187,7 @@ func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 }
 
 // SubmitRequest is the body of POST /jobs: one or more specs plus optional
-// budgets. Zero budgets inherit the server defaults; explicit budgets are
-// clamped to the server maxima — a client cannot buy more simulation than the
-// operator allows.
+// budgets. Zero run budgets inherit the server defaults.
 type SubmitRequest struct {
 	Specs []SpecRequest `json:"specs"`
 
@@ -216,8 +211,8 @@ type SubmitResponse struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-// Budget is the effective (post-clamp) budget a job runs under, echoed in
-// its status so clients see what they actually got.
+// Budget is the effective (defaults applied) budget a job runs under, echoed
+// in its status so clients see what they actually got.
 type Budget struct {
 	MaxCycles    uint64 `json:"max_cycles,omitempty"`
 	RunTimeoutMS int64  `json:"run_timeout_ms,omitempty"`

@@ -19,7 +19,7 @@ import (
 func TestRetryAfterQueueFullGrows(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, ts := testServer(t, Options{runSweep: blockingSweep(release), MaxActive: 1, MaxQueue: 2})
+	s, ts := testServer(t, Options{StateDir: t.TempDir(), runSweep: blockingSweep(release), MaxActive: 1, MaxQueue: 2})
 
 	s.mu.Lock()
 	h1 := s.retryAfterQueueFullLocked(1)
@@ -83,7 +83,7 @@ func TestRetryAfterQueueFullGrows(t *testing.T) {
 // must answer as soon as the job settles.
 func TestLongPollSettlesOnDrain(t *testing.T) {
 	release := make(chan struct{})
-	s, err := New(Options{runSweep: blockingSweep(release), MaxActive: 1, MaxQueue: 8, DrainTimeout: 30 * time.Second})
+	s, err := New(Options{StateDir: t.TempDir(), runSweep: blockingSweep(release), MaxActive: 1, MaxQueue: 8, DrainTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestLongPollSettlesOnDrain(t *testing.T) {
 // TestEventsResumeFrom: ?from= resumes the NDJSON stream mid-history, the
 // contract the fleet client's reconnect path depends on.
 func TestEventsResumeFrom(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 2})
+	_, ts := testServer(t, Options{StateDir: t.TempDir(), Workers: 2})
 
 	var resp SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{

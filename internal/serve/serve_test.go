@@ -133,7 +133,7 @@ func TestSubmitToDone(t *testing.T) {
 
 // TestValidation covers the bad_request surface.
 func TestValidation(t *testing.T) {
-	_, ts := testServer(t, Options{})
+	_, ts := testServer(t, Options{StateDir: t.TempDir()})
 	cases := []SubmitRequest{
 		{}, // no specs
 		{Specs: []SpecRequest{{Bench: "nope", Design: "1P1L"}}},  // bad bench
@@ -180,6 +180,7 @@ func blockingSweep(release <-chan struct{}) func(context.Context, []experiments.
 func TestAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := testServer(t, Options{
+		StateDir:  t.TempDir(),
 		MaxQueue:  1,
 		MaxActive: 1,
 		runSweep:  blockingSweep(release),
@@ -227,7 +228,7 @@ func TestAdmissionControl(t *testing.T) {
 func TestDedupSingleFlight(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	_, ts := testServer(t, Options{runSweep: blockingSweep(release), MaxQueue: 8})
+	_, ts := testServer(t, Options{StateDir: t.TempDir(), runSweep: blockingSweep(release), MaxQueue: 8})
 
 	req := SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}}
 	var a, b, c SubmitResponse
@@ -255,7 +256,8 @@ func TestDedupSingleFlight(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	real := experiments.RunSweep
 	s, ts := testServer(t, Options{
-		Workers: 1,
+		StateDir: t.TempDir(),
+		Workers:  1,
 		runSweep: func(ctx context.Context, specs []experiments.RunSpec, opt experiments.SweepOptions) ([]experiments.SweepRun, error) {
 			if len(specs) == 2 {
 				panic("injected: worker blew up")
@@ -296,7 +298,7 @@ func TestPanicIsolation(t *testing.T) {
 func TestCancel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, ts := testServer(t, Options{runSweep: blockingSweep(release), MaxQueue: 8, MaxActive: 1})
+	s, ts := testServer(t, Options{StateDir: t.TempDir(), runSweep: blockingSweep(release), MaxQueue: 8, MaxActive: 1})
 
 	var running, queued SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}}, &running)
@@ -326,7 +328,7 @@ func TestCancel(t *testing.T) {
 func TestJobDeadline(t *testing.T) {
 	never := make(chan struct{})
 	defer close(never)
-	_, ts := testServer(t, Options{runSweep: blockingSweep(never)})
+	_, ts := testServer(t, Options{StateDir: t.TempDir(), runSweep: blockingSweep(never)})
 
 	var resp SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{
@@ -346,7 +348,7 @@ func TestJobDeadline(t *testing.T) {
 // 503/draining and queued jobs are parked as shed.
 func TestDrainingRejectsSubmissions(t *testing.T) {
 	release := make(chan struct{})
-	s, err := New(Options{runSweep: blockingSweep(release), MaxQueue: 8, MaxActive: 1, DrainTimeout: 5 * time.Second})
+	s, err := New(Options{StateDir: t.TempDir(), runSweep: blockingSweep(release), MaxQueue: 8, MaxActive: 1, DrainTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -464,7 +466,7 @@ func TestRestartResume(t *testing.T) {
 // contract: dense sequence numbers, a queued→running→done state arc, and one
 // run event per spec carrying metrics.
 func TestEventsStream(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 2})
+	_, ts := testServer(t, Options{StateDir: t.TempDir(), Workers: 2})
 
 	var resp SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{
@@ -528,7 +530,7 @@ func TestEventsStream(t *testing.T) {
 // their job-level deadlines differ, so the spec keys are identical) share one
 // simulation through the cross-job cache.
 func TestSpecCacheSingleFlight(t *testing.T) {
-	s, ts := testServer(t, Options{Workers: 1, MaxActive: 1, MaxQueue: 8})
+	s, ts := testServer(t, Options{StateDir: t.TempDir(), Workers: 1, MaxActive: 1, MaxQueue: 8})
 
 	var a, b SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}}, &a)
@@ -568,8 +570,8 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestSubmitShutdownRaceDurable: a submission whose persistence write is in
 // flight when Shutdown begins must not be enqueued after the queue was shed —
-// that would accept a job that never runs and is never parked. With a state
-// dir the job is parked as shed and the restarted daemon runs it.
+// that would accept a job that never runs and is never parked. The job is
+// parked as shed and the restarted daemon runs it.
 func TestSubmitShutdownRaceDurable(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{StateDir: dir})
@@ -618,40 +620,16 @@ func TestSubmitShutdownRaceDurable(t *testing.T) {
 	}
 }
 
-// TestSubmitShutdownRaceEphemeral: the same race without a state dir has
-// nothing durable to resume, so the submission must be withdrawn with a typed
-// draining error rather than silently lost.
-func TestSubmitShutdownRaceEphemeral(t *testing.T) {
+// TestNewRequiresStateDir: every server is durable, so New refuses to build
+// one without a state dir and says which option is missing.
+func TestNewRequiresStateDir(t *testing.T) {
 	s, err := New(Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New without StateDir: no error")
 	}
-	inPersist := make(chan struct{})
-	unblock := make(chan struct{})
-	s.testPostPersist = func() { close(inPersist); <-unblock }
-
-	aerrCh := make(chan *APIError, 1)
-	go func() {
-		_, aerr := s.Submit(SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}})
-		aerrCh <- aerr
-	}()
-	<-inPersist
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	close(unblock)
-
-	aerr := <-aerrCh
-	if aerr == nil || aerr.Code != CodeDraining {
-		t.Fatalf("submit during shutdown race: %v, want %s", aerr, CodeDraining)
-	}
-	s.mu.Lock()
-	njobs, nqueued := len(s.jobs), len(s.queue)
-	s.mu.Unlock()
-	if njobs != 0 || nqueued != 0 {
-		t.Fatalf("withdrawn job leaked: %d jobs, %d queued", njobs, nqueued)
+	if !strings.Contains(err.Error(), "StateDir") {
+		t.Fatalf("New without StateDir: %v, want it to name StateDir", err)
 	}
 }
 
@@ -663,7 +641,7 @@ func TestSubmitShutdownRaceEphemeral(t *testing.T) {
 // complete, dense-seq stream via the broker's catch-up protocol.
 func TestWedgedEventsClientDoesNotStallJob(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := testServer(t, Options{runSweep: blockingSweep(release)})
+	s, ts := testServer(t, Options{StateDir: t.TempDir(), runSweep: blockingSweep(release)})
 
 	var resp SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}}, &resp)

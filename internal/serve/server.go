@@ -17,12 +17,12 @@ import (
 	"mdacache/internal/sim"
 )
 
-// Options configures a Server. The zero value is usable: it queues up to 64
-// jobs, runs one at a time, and imposes a 30-minute cycle-unlimited default
-// budget per run.
+// Options configures a Server. Only StateDir is required: with the other
+// fields zero it queues up to 64 jobs, runs one at a time, and imposes a
+// 30-minute cycle-unlimited default budget per run.
 type Options struct {
-	// StateDir roots the durable job store ("" disables persistence — jobs
-	// live and die with the process; useful for tests).
+	// StateDir roots the durable job store: job records, sweep checkpoints
+	// and event logs, from which a restarted server resumes. Required.
 	StateDir string
 
 	// MaxQueue bounds how many jobs may wait for a slot; submissions beyond
@@ -34,16 +34,12 @@ type Options struct {
 	// Workers is each job's sweep worker-pool size (0 = GOMAXPROCS).
 	Workers int
 
-	// DefaultMaxCycles / MaxMaxCycles: the per-run simulated-cycle budget
-	// applied when a submission names none, and the ceiling a submission may
-	// request. 0 = unlimited.
+	// DefaultMaxCycles is the per-run simulated-cycle budget applied when a
+	// submission names none. 0 = unlimited.
 	DefaultMaxCycles uint64
-	MaxMaxCycles     uint64
-	// DefaultRunTimeout / MaxRunTimeout: likewise for the per-run wall
-	// clock. DefaultRunTimeout defaults to 30m so a wedged run can never
-	// hold a slot forever; MaxRunTimeout 0 = no ceiling.
+	// DefaultRunTimeout is likewise the per-run wall-clock budget. It
+	// defaults to 30m so a wedged run can never hold a slot forever.
 	DefaultRunTimeout time.Duration
-	MaxRunTimeout     time.Duration
 
 	// FlushEvery is the sweep checkpoint flush cadence (runs per flush;
 	// default 1 — a service values durability over flush amortisation).
@@ -59,7 +55,7 @@ type Options struct {
 
 	// NodeID names this process in a fleet of daemons sharing StateDir.
 	// "" (the default) is single-node mode: no leases, no fencing, no steal
-	// loop — exactly the pre-fleet behavior. Fleet mode requires StateDir.
+	// loop.
 	NodeID string
 	// Advertise is the base URL peers and clients use to reach this node
 	// (fleet mode), e.g. "http://127.0.0.1:8080". Registered in the shared
@@ -69,10 +65,6 @@ type Options struct {
 	// may steal it. Default 3s. Renewal runs every Lease/3, so a node must
 	// miss two consecutive renewals (or die) to lose a job.
 	Lease time.Duration
-	// CacheDisk bounds the shared on-disk spec-result cache under StateDir
-	// (entries; negative disables). Default 1024 in fleet mode, disabled in
-	// single-node mode where the in-memory cache plus checkpoints suffice.
-	CacheDisk int
 
 	// Log receives operational lines (nil = silent).
 	Log io.Writer
@@ -104,9 +96,6 @@ func (o Options) withDefaults() Options {
 	if o.Lease == 0 {
 		o.Lease = 3 * time.Second
 	}
-	if o.CacheDisk == 0 && o.NodeID != "" {
-		o.CacheDisk = 1024
-	}
 	if o.runSweep == nil {
 		o.runSweep = experiments.RunSweep
 	}
@@ -121,11 +110,10 @@ func (o Options) fleet() bool { return o.NodeID != "" }
 // under StateDir, and per-job event streams. Create with New, serve its
 // Handler, and Shutdown to drain.
 type Server struct {
-	opt    Options
-	store  *store // nil when persistence is disabled
-	cache  *specCache
-	dcache *diskSpecCache // nil unless CacheDisk > 0 and StateDir set
-	start  time.Time
+	opt   Options
+	store *store
+	cache *specCache // nil when CacheSpecs < 0
+	start time.Time
 
 	baseCtx context.Context // cancelled at the drain deadline
 	baseCut context.CancelFunc
@@ -164,6 +152,9 @@ type Server struct {
 // process died re-enter the queue (oldest first) and resume from their sweep
 // checkpoints. Terminal jobs stay queryable.
 func New(opt Options) (*Server, error) {
+	if opt.StateDir == "" {
+		return nil, errors.New("serve: Options.StateDir is required")
+	}
 	opt = opt.withDefaults()
 	s := &Server{
 		opt:     opt,
@@ -179,59 +170,51 @@ func New(opt Options) (*Server, error) {
 	}
 	s.baseCtx, s.baseCut = context.WithCancel(context.Background())
 
-	if opt.fleet() && opt.StateDir == "" {
-		return nil, fmt.Errorf("serve: fleet mode (NodeID %q) requires a StateDir", opt.NodeID)
+	st, err := newStore(opt.StateDir)
+	if err != nil {
+		return nil, err
 	}
-	if opt.StateDir != "" {
-		st, err := newStore(opt.StateDir)
-		if err != nil {
-			return nil, err
+	s.store = st
+	recs, skipped, err := st.loadJobs()
+	if err != nil {
+		return nil, err
+	}
+	for _, dir := range skipped {
+		s.logf("serve: skipping unreadable job dir %s", dir)
+	}
+	for _, rec := range recs {
+		if rec.State.Terminal() {
+			j := jobFromRecord(rec)
+			close(j.done)
+			j.broker.Close()
+			s.jobs[j.id] = j
+			continue
 		}
-		s.store = st
-		if opt.CacheDisk > 0 {
-			s.dcache = newDiskSpecCache(opt.StateDir, opt.CacheDisk)
-		}
-		recs, skipped, err := st.loadJobs()
-		if err != nil {
-			return nil, err
-		}
-		for _, dir := range skipped {
-			s.logf("serve: skipping unreadable job dir %s", dir)
-		}
-		for _, rec := range recs {
-			if rec.State.Terminal() {
-				j := jobFromRecord(rec)
-				close(j.done)
-				j.broker.Close()
-				s.jobs[j.id] = j
+		if opt.fleet() {
+			// A peer may own (or be finishing) this job: only re-admit
+			// what we can claim. Unclaimable jobs stay off the local map;
+			// their statuses are served from disk.
+			claimed, cerr := st.claimJob(rec.ID, opt.NodeID, opt.Lease)
+			switch {
+			case errors.Is(cerr, errLeaseHeld):
+				continue
+			case errors.Is(cerr, errJobTerminal):
+				if fresh, lerr := st.loadJob(rec.ID); lerr == nil {
+					j := jobFromRecord(fresh)
+					close(j.done)
+					j.broker.Close()
+					s.jobs[j.id] = j
+				}
+				continue
+			case cerr != nil:
+				s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
 				continue
 			}
-			if opt.fleet() {
-				// A peer may own (or be finishing) this job: only re-admit
-				// what we can claim. Unclaimable jobs stay off the local map;
-				// their statuses are served from disk.
-				claimed, cerr := st.claimJob(rec.ID, opt.NodeID, opt.Lease)
-				switch {
-				case errors.Is(cerr, errLeaseHeld):
-					continue
-				case errors.Is(cerr, errJobTerminal):
-					if fresh, lerr := st.loadJob(rec.ID); lerr == nil {
-						j := jobFromRecord(fresh)
-						close(j.done)
-						j.broker.Close()
-						s.jobs[j.id] = j
-					}
-					continue
-				case cerr != nil:
-					s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
-					continue
-				}
-				rec = claimed
-			}
-			// Interrupted job: back to the queue, resuming from its
-			// checkpoint. The prior process's partial progress is on disk.
-			s.readmitLocked(rec, "re-admitted")
+			rec = claimed
 		}
+		// Interrupted job: back to the queue, resuming from its
+		// checkpoint. The prior process's partial progress is on disk.
+		s.readmitLocked(rec, "re-admitted")
 	}
 
 	go s.dispatch()
@@ -383,24 +366,12 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, *APIError) {
 	if s.draining {
 		// Shutdown began while the record was being written: the queue has
 		// already been shed, so enqueueing now would strand the job —
-		// accepted but never run, never shed, silently lost on exit. With a
-		// store, park it as shed like the rest of the queue (the restarted
-		// daemon re-admits it); without one there is nothing durable to
-		// resume, so withdraw it and tell the client to retry.
+		// accepted but never run, never shed, silently lost on exit. Park it
+		// as shed like the rest of the queue; the restarted daemon re-admits
+		// it.
 		s.mu.Unlock()
-		if s.store != nil {
-			s.parkJob(j, StateShed)
-			return SubmitResponse{ID: j.id, State: StateShed}, nil
-		}
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		if s.byKey[key] == j {
-			delete(s.byKey, key)
-		}
-		aerr := apiErrorf(CodeDraining, "server is draining; retry after restart")
-		aerr.RetryAfterMS = s.retryAfterDrainingLocked()
-		s.mu.Unlock()
-		return SubmitResponse{}, aerr
+		s.parkJob(j, StateShed)
+		return SubmitResponse{ID: j.id, State: StateShed}, nil
 	}
 	s.queue = append(s.queue, j)
 	s.mu.Unlock()
@@ -412,7 +383,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, *APIError) {
 	return SubmitResponse{ID: j.id, State: StateQueued}, nil
 }
 
-// resolveBudget applies defaults and clamps to the server maxima.
+// resolveBudget applies the server's default budgets.
 func (s *Server) resolveBudget(req SubmitRequest) (Budget, *APIError) {
 	if req.RunTimeoutMS < 0 || req.DeadlineMS < 0 {
 		return Budget{}, apiErrorf(CodeBadRequest, "budgets must be non-negative")
@@ -425,14 +396,8 @@ func (s *Server) resolveBudget(req SubmitRequest) (Budget, *APIError) {
 	if b.MaxCycles == 0 {
 		b.MaxCycles = s.opt.DefaultMaxCycles
 	}
-	if max := s.opt.MaxMaxCycles; max > 0 && (b.MaxCycles == 0 || b.MaxCycles > max) {
-		b.MaxCycles = max
-	}
 	if b.RunTimeoutMS == 0 {
 		b.RunTimeoutMS = s.opt.DefaultRunTimeout.Milliseconds()
-	}
-	if max := s.opt.MaxRunTimeout; max > 0 && (b.RunTimeoutMS == 0 || b.RunTimeoutMS > max.Milliseconds()) {
-		b.RunTimeoutMS = max.Milliseconds()
 	}
 	return b, nil
 }
@@ -512,9 +477,6 @@ func (s *Server) resolveAddr(node string) string {
 	}
 	if node == s.opt.NodeID {
 		return s.opt.Advertise
-	}
-	if s.store == nil {
-		return ""
 	}
 	return s.store.nodeAddr(node)
 }
@@ -721,9 +683,6 @@ func (s *Server) Health() Health {
 // Lease/3, so that is ~9 missed beats).
 func (s *Server) Fleet() FleetStatus {
 	fs := FleetStatus{Self: s.opt.NodeID}
-	if s.store == nil {
-		return fs
-	}
 	cutoff := time.Now().Add(-3 * s.opt.Lease).UnixMilli()
 	for _, n := range s.store.loadNodes() {
 		fs.Nodes = append(fs.Nodes, FleetNode{
@@ -841,9 +800,7 @@ func (s *Server) runJob(j *job) {
 		OnRun: func(index int, run experiments.SweepRun) {
 			s.onRun(j, index, run, sharedKeys, &sharedMu)
 		},
-	}
-	if s.store != nil {
-		opt.StatePath = s.store.checkpointPath(j.id)
+		StatePath: s.store.checkpointPath(j.id),
 	}
 	if s.opt.fleet() {
 		// Fence every checkpoint flush on the claim epoch: a stolen job's
@@ -858,7 +815,7 @@ func (s *Server) runJob(j *job) {
 	}
 	if s.cache != nil {
 		opt.Run = func(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, error) {
-			res, shared, err := s.runCached(ctx, spec, ins)
+			res, shared, err := s.cache.run(ctx, spec, ins)
 			if shared {
 				sharedMu.Lock()
 				sharedKeys[experiments.SpecKey(spec)] = true
@@ -932,23 +889,6 @@ func (s *Server) onRun(j *job, index int, run experiments.SweepRun, sharedKeys m
 		ev.Type = "run"
 		ev.Run = re
 	})
-}
-
-// runCached executes one spec through the cache stack: the shared on-disk
-// fleet cache first (a spec simulated on any node is a hit everywhere), then
-// the in-process single-flight cache. Deterministic outcomes are written
-// through to disk so peers inherit them.
-func (s *Server) runCached(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, bool, error) {
-	if s.dcache != nil {
-		if res, err, ok := s.dcache.get(spec); ok {
-			return res, true, err
-		}
-	}
-	res, shared, err := s.cache.run(ctx, spec, ins)
-	if s.dcache != nil && !shared && !transientRunErr(err) && ctx.Err() == nil {
-		s.dcache.put(spec, res, err)
-	}
-	return res, shared, err
 }
 
 // finishJob moves a job to a terminal state, persists it and closes its
@@ -1084,8 +1024,7 @@ func (s *Server) parkJob(j *job, state State) {
 	rec := j.recordLocked()
 	j.mu.Unlock()
 	if fenced {
-		rec.LeaseUntilMS = 0 // stealable now
-		if err := s.store.saveJobFenced(rec); err != nil && !errors.Is(err, errFenced) {
+		if err := s.store.releaseLease(rec); err != nil && !errors.Is(err, errFenced) {
 			s.logf("%v", err)
 		}
 	} else {
@@ -1150,13 +1089,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// persist writes the job's durable record (no-op without a state dir). In
-// fleet mode the write is fenced on the claim epoch and preserves whatever
-// lease expiry the renewal loop last wrote.
+// persist writes the job's durable record. In fleet mode the write is fenced
+// on the claim epoch and preserves whatever lease expiry the renewal loop
+// last wrote.
 func (s *Server) persist(j *job) error {
-	if s.store == nil {
-		return nil
-	}
 	j.mu.Lock()
 	rec := j.recordLocked()
 	j.mu.Unlock()
@@ -1188,7 +1124,7 @@ func (s *Server) publish(j *job, fill func(*JobEvent)) {
 	ev := j.nextEventLocked()
 	j.mu.Unlock()
 	fill(&ev)
-	if s.store != nil && !stolen {
+	if !stolen {
 		// A stolen job's durable log belongs to its new owner; local
 		// stragglers (a late onRun from the cancelled sweep) stay local.
 		if err := s.store.appendEvent(j.id, ev); err != nil {
