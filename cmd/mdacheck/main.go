@@ -14,20 +14,18 @@
 //	mdacheck -n 100 -faults on       # force fault injection everywhere
 //	mdacheck -n 512 -cores 1,2,4     # conformance sweep over core counts
 //	mdacheck -cores 2 -seed 7        # reproduce one multi-core seed
-//	mdacheck -seed 7 -break-coherence  # demo: watch the harness catch a bug
 //	mdacheck -workload kv -n 64 -cores 1,2,4   # request-workload streams
 //	mdacheck -workload htap -cores 2 -seed 3   # reproduce one request seed
 //
 // On failure, mdacheck prints the shrunk trace (or multi-core schedule) and
-// a one-line repro command and exits 1. Exit code 2 means the invocation
-// itself was invalid.
+// a one-line repro command (with any non-default -designs/-faults) and
+// exits 1. Exit code 2 means the invocation itself was invalid.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -43,8 +41,6 @@ func main() {
 		designs  = flag.String("designs", "paper", "design set: paper (1P1L,1P2L,1P2L_SameSet,2P2L) or all (+2P2L_Dense,2P2L_L1)")
 		cores    = flag.String("cores", "1", "comma-separated core counts to check (1 = the single-core trace corpus, >1 = contended per-core streams on a shared hierarchy)")
 		faults   = flag.String("faults", "auto", "fault injection: auto (per-seed), on, off")
-		breakCoh = flag.Bool("break-coherence", false, "disable duplicate-coherence eviction (verifies the harness catches it)")
-		breakSnp = flag.Bool("break-snoop", false, "disable cross-core snoop invalidation (verifies the multi-core harness catches it; every -cores count must be above 1)")
 		workload = flag.String("workload", "", "check request-workload streams (kv, htap) instead of the harness's own patterns")
 		noShrink = flag.Bool("no-shrink", false, "skip trace minimisation on failure")
 		maxFail  = flag.Int("max-failures", 1, "stop after this many failing seeds")
@@ -74,8 +70,6 @@ func main() {
 	default:
 		usagef("invalid -faults %q (valid: auto, on, off)", *faults)
 	}
-	opt.BreakCoherence = *breakCoh
-	opt.BreakSnoop = *breakSnp
 	if *n <= 0 && !seedSet() {
 		usagef("-n must be positive")
 	}
@@ -86,8 +80,14 @@ func main() {
 		usagef("unknown workload %q (valid: %s)", *workload, strings.Join(workloads.RequestNames, ", "))
 	}
 	coreCounts := parseCores(*cores)
-	if *breakSnp && slices.Contains(coreCounts, 1) {
-		usagef("-break-snoop needs every -cores count above 1 (got %q): one core has no sibling to snoop, so the mutation would change nothing", *cores)
+	// A failure's repro line carries the non-default flags it was checked
+	// under; the spec's own repro names only the seed, cores and workload.
+	var reproFlags []string
+	if *designs != "paper" {
+		reproFlags = append(reproFlags, "-designs "+*designs)
+	}
+	if *faults != "auto" {
+		reproFlags = append(reproFlags, "-faults "+*faults)
 	}
 
 	seeds := make([]uint64, 0, *n)
@@ -130,6 +130,7 @@ sweep:
 				f = check.CheckMCSpec(spec, opt)
 			}
 			if f != nil {
+				f.ReproFlags = strings.Join(reproFlags, " ")
 				fmt.Print(f)
 				failures++
 				if failures >= *maxFail {

@@ -37,11 +37,12 @@ func TestSmokeSingleSeed(t *testing.T) {
 	}
 }
 
-// TestFailureOutput runs with the coherence mutation enabled and pins the
-// failure contract: exit 1, a shrunk trace, and a copy-pasteable one-line
-// repro command.
+// TestFailureOutput runs an mdacheck built with the dup-evict mutant (see
+// clitest.Mutants) and pins the failure contract: exit 1, a shrunk trace,
+// and a copy-pasteable one-line repro command.
 func TestFailureOutput(t *testing.T) {
-	res := clitest.Run(t, "mdacheck", "-n", "100", "-faults", "off", "-break-coherence")
+	bin := clitest.BuildMutant(t, "mdacache/cmd/mdacheck", "dup-evict")
+	res := clitest.Run(t, bin, "-n", "100", "-faults", "off")
 	if res.Code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s", res.Code, res.Stdout)
 	}
@@ -53,6 +54,36 @@ func TestFailureOutput(t *testing.T) {
 	} {
 		if !strings.Contains(res.Stdout, want) {
 			t.Errorf("failure output lacks %q:\n%s", want, res.Stdout)
+		}
+	}
+}
+
+// TestFailureReproFlags pins what a failure report says about the flags it
+// was checked under: the header shows the effective fault setting, the
+// repro line carries every non-default -designs/-faults flag, and a run
+// with default flags prints the spec's own repro and nothing more. Seed 7
+// derives faults=true and fails under the dup-evict mutant.
+func TestFailureReproFlags(t *testing.T) {
+	bin := clitest.BuildMutant(t, "mdacache/cmd/mdacheck", "dup-evict")
+	for _, c := range []struct {
+		args      []string
+		header    string
+		reproduce string
+	}{
+		{[]string{"-seed", "7"}, "faults=true", "reproduce with: mdacheck -seed 0x7\n"},
+		{[]string{"-seed", "7", "-faults", "off", "-designs", "all"}, "faults=false",
+			"reproduce with: mdacheck -seed 0x7 -designs all -faults off\n"},
+	} {
+		res := clitest.Run(t, bin, c.args...)
+		if res.Code != 1 {
+			t.Fatalf("%v: exit %d, want 1\nstdout:\n%s", c.args, res.Code, res.Stdout)
+		}
+		header, _, _ := strings.Cut(res.Stdout, "\n")
+		if !strings.HasSuffix(header, c.header) {
+			t.Errorf("%v: header %q does not end in %q", c.args, header, c.header)
+		}
+		if !strings.Contains(res.Stdout, c.reproduce) {
+			t.Errorf("%v: output lacks %q:\n%s", c.args, c.reproduce, res.Stdout)
 		}
 	}
 }
@@ -72,11 +103,12 @@ func TestSmokeWorkload(t *testing.T) {
 }
 
 // TestWorkloadFailureOutput pins the request-workload failure contract:
-// with snoop coherence broken, some seed fails with exit 1 and a repro line
-// naming the workload.
+// with snoop coherence broken (an mdacheck built with the store-snoop
+// mutant), some seed fails with exit 1 and a repro line naming the workload.
 func TestWorkloadFailureOutput(t *testing.T) {
-	res := clitest.Run(t, "mdacheck", "-workload", "htap", "-n", "50", "-cores", "2",
-		"-faults", "off", "-break-snoop")
+	bin := clitest.BuildMutant(t, "mdacache/cmd/mdacheck", "store-snoop")
+	res := clitest.Run(t, bin, "-workload", "htap", "-n", "50", "-cores", "2",
+		"-faults", "off")
 	if res.Code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s", res.Code, res.Stdout)
 	}
@@ -104,8 +136,9 @@ func TestUsageErrors(t *testing.T) {
 		{"zero max-failures", []string{"-max-failures", "0"}, "-max-failures"},
 		{"positional args", []string{"stray"}, "unexpected arguments"},
 		{"unknown workload", []string{"-workload", "nope"}, "unknown workload"},
-		{"break-snoop on one core", []string{"-break-snoop", "-cores", "2,1"}, "-break-snoop"},
-		{"break-snoop default cores", []string{"-break-snoop"}, "-break-snoop"},
+		// The coherence mutations live in the mutant catalogue, not in flags.
+		{"unknown flag break-coherence", []string{"-break-coherence"}, "flag provided but not defined: -break-coherence"},
+		{"unknown flag break-snoop", []string{"-break-snoop"}, "flag provided but not defined: -break-snoop"},
 	}
 	for _, c := range cases {
 		c := c

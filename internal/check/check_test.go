@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdacache/internal/clitest"
 	"mdacache/internal/core"
 	"mdacache/internal/isa"
 )
@@ -35,7 +36,7 @@ func corpusSize(t *testing.T) int {
 func TestCorpusConforms(t *testing.T) {
 	n := corpusSize(t)
 	for seed := 0; seed < n; seed++ {
-		if f := CheckSeed(uint64(seed), Options{}); f != nil {
+		if f := CheckSpec(SpecForSeed(uint64(seed)), Options{}); f != nil {
 			t.Fatalf("seed %d failed:\n%s", seed, f)
 		}
 	}
@@ -49,7 +50,7 @@ func TestCorpusConformsAllDesigns(t *testing.T) {
 		n = 8
 	}
 	for seed := 0; seed < n; seed++ {
-		if f := CheckSeed(uint64(seed), Options{Designs: AllDesigns}); f != nil {
+		if f := CheckSpec(SpecForSeed(uint64(seed)), Options{Designs: AllDesigns}); f != nil {
 			t.Fatalf("seed %d failed:\n%s", seed, f)
 		}
 	}
@@ -65,7 +66,7 @@ func TestCorpusFaultsBothWays(t *testing.T) {
 	}
 	for _, mode := range []FaultMode{FaultOff, FaultOn} {
 		for seed := 0; seed < n; seed++ {
-			if f := CheckSeed(uint64(seed), Options{Faults: mode}); f != nil {
+			if f := CheckSpec(SpecForSeed(uint64(seed)), Options{Faults: mode}); f != nil {
 				t.Fatalf("seed %d (faults mode %d) failed:\n%s", seed, mode, f)
 			}
 		}
@@ -182,12 +183,15 @@ func TestPatternCoverage(t *testing.T) {
 }
 
 // TestBrokenCoherenceCaught is the acceptance-criteria mutation test: with
-// the Fig. 9 write-to-duplicate eviction disabled, the harness must detect
-// stale duplicate values on at least one corpus seed — and the failure must
-// carry a shrunk trace and a one-line repro command.
+// the Fig. 9 write-to-duplicate eviction disabled (the dup-evict mutant, see
+// TestMutants), the harness must detect stale duplicate values on at least
+// one corpus seed — and the failure must carry a shrunk trace and a one-line
+// repro command.
 func TestBrokenCoherenceCaught(t *testing.T) {
+	if !clitest.UnderMutant(t) {
+		return
+	}
 	opt := Options{
-		BreakCoherence: true,
 		// The mutation lives in the duplicate path, which 1P1L doesn't have.
 		Designs: []core.Design{core.D1DiffSet, core.D1SameSet, core.D2Sparse},
 		Faults:  FaultOff,
@@ -219,12 +223,14 @@ func TestBrokenCoherenceCaught(t *testing.T) {
 // TestBrokenCoherenceShrinksSmall pins shrink quality on one known-caught
 // seed: the minimal stale-duplicate witness is a handful of ops (store,
 // overlapping access pattern, stale read), so anything large means shrinking
-// regressed.
+// regressed. Runs under the dup-evict mutant.
 func TestBrokenCoherenceShrinksSmall(t *testing.T) {
+	if !clitest.UnderMutant(t) {
+		return
+	}
 	opt := Options{
-		BreakCoherence: true,
-		Designs:        []core.Design{core.D1DiffSet},
-		Faults:         FaultOff,
+		Designs: []core.Design{core.D1DiffSet},
+		Faults:  FaultOff,
 	}
 	for seed := uint64(0); seed < 200; seed++ {
 		spec := SpecForSeed(seed)

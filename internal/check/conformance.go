@@ -34,18 +34,6 @@ type Options struct {
 	// Faults selects fault injection (default FaultAuto: per-spec).
 	Faults FaultMode
 
-	// BreakCoherence enables the testing-only duplicate-coherence mutation
-	// (core.CacheParams.BreakDupCoherence) on every level. Used by the
-	// harness's own tests to prove a coherence bug is detected.
-	BreakCoherence bool
-
-	// BreakSnoop enables the testing-only cross-core snoop mutation
-	// (core.Config.BreakSnoopCoherence): the shared-level hub stops
-	// flushing/invalidating sibling L1 copies on cross-core traffic. Only
-	// meaningful for multi-core checks; used by the harness's own tests to
-	// prove a coherence break shrinks to a minimal cross-core witness.
-	BreakSnoop bool
-
 	// NoShrink skips trace minimisation on failure (soak throughput knob).
 	NoShrink bool
 }
@@ -90,6 +78,8 @@ type Spec interface {
 	Repro() string
 	// rig returns the machine parameters the case is checked on.
 	rig() Rig
+	// withFaults returns the spec with its fault bit set to on.
+	withFaults(on bool) Spec
 	// title heads the case's failure report.
 	title() string
 }
@@ -102,18 +92,24 @@ type Rig struct {
 	Faults     bool   // inject transient write faults (see Options.Faults)
 }
 
-// Failure describes a failing seed: its spec, the (possibly shrunk)
-// core-tagged schedule and the violations it produces.
+// Failure describes a failing seed: its spec (with the fault setting the
+// check ran under), the (possibly shrunk) core-tagged schedule and the
+// violations it produces.
 type Failure struct {
 	Spec       Spec
 	Cores      int
 	Ops        []MCOp // shrunk schedule (or full schedule with Options.NoShrink)
 	Shrunk     bool
 	Violations []Violation
+
+	// ReproFlags are mdacheck flags beyond the spec's own that the check
+	// ran under, such as "-designs all -faults off". The checks leave it
+	// empty; the mdacheck command fills it from its flags. Repro appends it.
+	ReproFlags string
 }
 
 // Repro returns the copy-pasteable command that reproduces this failure.
-func (f *Failure) Repro() string { return f.Spec.Repro() }
+func (f *Failure) Repro() string { return strings.TrimSpace(f.Spec.Repro() + " " + f.ReproFlags) }
 
 // CoresTouched returns how many distinct cores the schedule spans — a shrunk
 // witness for a genuine cross-core bug must touch at least two.
@@ -221,12 +217,6 @@ func checkDesign(d core.Design, streams [][]isa.Op, rig Rig, opt Options) []Viol
 		cfg.Mem.WriteFailProb = 0.05
 		cfg.Mem.FaultSeed = rig.Seed ^ 0xfa017
 	}
-	if opt.BreakCoherence {
-		cfg.L1.BreakDupCoherence = true
-		cfg.L2.BreakDupCoherence = true
-		cfg.L3.BreakDupCoherence = true
-	}
-	cfg.BreakSnoopCoherence = opt.BreakSnoop
 	m, err := core.Build(cfg)
 	if err != nil {
 		add("run-error", "build: %v", err)
@@ -360,6 +350,7 @@ func checkDesign(d core.Design, streams [][]isa.Op, rig Rig, opt Options) []Viol
 // the core-tagged schedule to a locally-minimal failing witness. Returns nil
 // when every invariant holds.
 func checkCase(spec Spec, streams [][]isa.Op, opt Options) *Failure {
+	spec = spec.withFaults(opt.faults(spec.rig().Faults))
 	rig, cores := spec.rig(), len(streams)
 	vio := CheckStreams(streams, rig, opt)
 	if len(vio) == 0 {
@@ -380,11 +371,4 @@ func checkCase(spec Spec, streams [][]isa.Op, opt Options) *Failure {
 // shrinking it on failure. Returns nil when every invariant holds.
 func CheckSpec(spec GenSpec, opt Options) *Failure {
 	return checkCase(spec, [][]isa.Op{Generate(spec)}, opt)
-}
-
-// CheckSeed derives the spec for seed and checks it. The corpus convention:
-// seed k of an N-trace run is simply k, so `mdacheck -seed k` reproduces any
-// corpus failure exactly.
-func CheckSeed(seed uint64, opt Options) *Failure {
-	return CheckSpec(SpecForSeed(seed), opt)
 }

@@ -65,6 +65,8 @@ func (s GenSpec) Repro() string { return fmt.Sprintf("mdacheck -seed %#x", s.See
 
 func (s GenSpec) rig() Rig { return Rig{Seed: s.Seed, CfgVariant: s.CfgVariant, Faults: s.Faults} }
 
+func (s GenSpec) withFaults(on bool) Spec { s.Faults = on; return s }
+
 func (s GenSpec) title() string { return "conformance failure" }
 
 func (s GenSpec) String() string {
@@ -79,7 +81,8 @@ func (s GenSpec) String() string {
 // SpecForSeed derives a full trace spec from a bare seed. The derivation is
 // pure splitmix64, so the corpus `seed = 0..N` covers every pattern, both
 // orientation regimes, both config variants and both fault settings without
-// any further bookkeeping.
+// any further bookkeeping. Seed k of an N-seed corpus is simply k, so
+// `mdacheck -seed k` reproduces any corpus failure exactly.
 func SpecForSeed(seed uint64) GenSpec {
 	r := sim.NewRNG(seed ^ 0x5eedc0de)
 	return GenSpec{

@@ -81,6 +81,8 @@ func (s MCSpec) Repro() string {
 
 func (s MCSpec) rig() Rig { return Rig{Seed: s.Seed, CfgVariant: s.CfgVariant, Faults: s.Faults} }
 
+func (s MCSpec) withFaults(on bool) Spec { s.Faults = on; return s }
+
 func (s MCSpec) title() string { return "multi-core conformance failure" }
 
 func (s MCSpec) String() string {
@@ -288,11 +290,4 @@ func SplitMC(ops []MCOp, cores int) [][]isa.Op {
 // Returns nil when every invariant holds.
 func CheckMCSpec(spec MCSpec, opt Options) *Failure {
 	return checkCase(spec, GenerateMC(spec), opt)
-}
-
-// CheckMCSeed derives the multi-core spec for (seed, cores) and checks it.
-// Corpus convention matches CheckSeed: seed k of an N-trace run is k, so
-// `mdacheck -cores C -seed k` reproduces any corpus failure exactly.
-func CheckMCSeed(seed uint64, cores int, opt Options) *Failure {
-	return CheckMCSpec(MCSpecForSeed(seed, cores), opt)
 }

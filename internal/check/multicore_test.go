@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdacache/internal/clitest"
 	"mdacache/internal/core"
 	"mdacache/internal/isa"
 )
@@ -19,7 +20,7 @@ func TestMCCorpusConforms(t *testing.T) {
 		n = 8
 	}
 	for seed := 0; seed < n; seed++ {
-		if f := CheckMCSeed(uint64(seed), 2, Options{}); f != nil {
+		if f := CheckMCSpec(MCSpecForSeed(uint64(seed), 2), Options{}); f != nil {
 			t.Fatalf("seed %d failed:\n%s", seed, f)
 		}
 	}
@@ -33,7 +34,7 @@ func TestMCCorpusConformsFourCores(t *testing.T) {
 		n = 4
 	}
 	for seed := 0; seed < n; seed++ {
-		if f := CheckMCSeed(uint64(seed), 4, Options{Designs: AllDesigns}); f != nil {
+		if f := CheckMCSpec(MCSpecForSeed(uint64(seed), 4), Options{Designs: AllDesigns}); f != nil {
 			t.Fatalf("seed %d (cores=4) failed:\n%s", seed, f)
 		}
 	}
@@ -61,7 +62,7 @@ func TestMCPinnedPatternSeeds(t *testing.T) {
 				seed, spec.Pattern, p)
 		}
 		for _, cores := range []int{2, 4} {
-			if f := CheckMCSeed(seed, cores, Options{Designs: AllDesigns}); f != nil {
+			if f := CheckMCSpec(MCSpecForSeed(seed, cores), Options{Designs: AllDesigns}); f != nil {
 				t.Fatalf("pinned %s seed %d (cores=%d) failed:\n%s", p, seed, cores, f)
 			}
 		}
@@ -177,12 +178,14 @@ func TestMCFlattenSplitRoundTrip(t *testing.T) {
 
 // TestMCBrokenDupCoherenceCaught is the acceptance-criteria mutation test
 // under shared hierarchies: with the duplicate-coherence eviction disabled
-// on every level of a Cores=2 machine, the harness must detect stale values
-// on some corpus seed, and the failure must carry a shrunk schedule plus a
-// `mdacheck -cores 2 -seed ...` repro.
+// on every level of a Cores=2 machine (the dup-evict mutant), the harness
+// must detect stale values on some corpus seed, and the failure must carry
+// a shrunk schedule plus a `mdacheck -cores 2 -seed ...` repro.
 func TestMCBrokenDupCoherenceCaught(t *testing.T) {
+	if !clitest.UnderMutant(t) {
+		return
+	}
 	opt := Options{
-		BreakCoherence: true,
 		// The mutation lives in the duplicate path, which 1P1L doesn't have.
 		Designs: []core.Design{core.D1DiffSet, core.D1SameSet, core.D2Sparse},
 		Faults:  FaultOff,
@@ -218,9 +221,12 @@ func TestMCBrokenDupCoherenceCaught(t *testing.T) {
 // the schedule down to a minimal witness that necessarily spans at least two
 // cores — one core's store, another core's stale reuse. A witness confined
 // to one core would mean the shrinker destroyed the cross-core structure of
-// the bug.
+// the bug. Runs under the store-snoop mutant.
 func TestMCBrokenSnoopShrinksToCrossCoreWitness(t *testing.T) {
-	opt := Options{BreakSnoop: true, Faults: FaultOff}
+	if !clitest.UnderMutant(t) {
+		return
+	}
+	opt := Options{Faults: FaultOff}
 	for seed := uint64(0); seed < 200; seed++ {
 		spec := MCSpecForSeed(seed, 2)
 		f := CheckMCSpec(spec, opt)

@@ -36,6 +36,8 @@ func (s RequestSpec) Repro() string {
 
 func (s RequestSpec) rig() Rig { return Rig{Seed: s.Seed, CfgVariant: s.CfgVariant, Faults: s.Faults} }
 
+func (s RequestSpec) withFaults(on bool) Spec { s.Faults = on; return s }
+
 func (s RequestSpec) title() string { return "request conformance failure" }
 
 func (s RequestSpec) String() string {
@@ -105,12 +107,4 @@ func CheckRequest(spec RequestSpec, opt Options) (*Failure, error) {
 		return nil, err
 	}
 	return checkCase(spec, streams, opt), nil
-}
-
-// CheckRequestSeed derives the request spec for (workload, seed, cores) and
-// checks it. Corpus convention matches CheckSeed: seed k of an N-trace run
-// is k, so `mdacheck -workload W -cores C -seed k` reproduces any corpus
-// failure exactly.
-func CheckRequestSeed(workload string, seed uint64, cores int, opt Options) (*Failure, error) {
-	return CheckRequest(RequestSpecForSeed(workload, seed, cores), opt)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdacache/internal/clitest"
 	"mdacache/internal/isa"
 )
 
@@ -20,7 +21,7 @@ func TestRequestCorpusConforms(t *testing.T) {
 	for _, workload := range []string{"kv", "htap"} {
 		for _, cores := range []int{1, 2, 4} {
 			for seed := 0; seed < n; seed++ {
-				f, err := CheckRequestSeed(workload, uint64(seed), cores, Options{})
+				f, err := CheckRequest(RequestSpecForSeed(workload, uint64(seed), cores), Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,11 +90,15 @@ func TestRequestLayoutMatchesOrientation(t *testing.T) {
 }
 
 // TestRequestBrokenSnoopCaught is the mutation test for the request family:
-// with cross-core snoop invalidation disabled, the HTAP mix (point stores
-// racing other cores' reads of the same hot rows) must produce a stale read
-// the oracle catches, and the shrunk witness must carry a usable repro line.
+// with cross-core snoop invalidation disabled (the store-snoop mutant), the
+// HTAP mix (point stores racing other cores' reads of the same hot rows)
+// must produce a stale read the oracle catches, and the shrunk witness must
+// carry a usable repro line.
 func TestRequestBrokenSnoopCaught(t *testing.T) {
-	opt := Options{BreakSnoop: true, Faults: FaultOff}
+	if !clitest.UnderMutant(t) {
+		return
+	}
+	opt := Options{Faults: FaultOff}
 	for seed := uint64(0); seed < 100; seed++ {
 		spec := RequestSpecForSeed("htap", seed, 2)
 		f, err := CheckRequest(spec, opt)

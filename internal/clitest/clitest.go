@@ -2,7 +2,10 @@
 // examples/*) for smoke and exit-code tests. The cmd packages themselves are
 // `package main` with no exported surface, so testing their flag validation
 // and output means executing real binaries; this package owns the build-once
-// plumbing so each cmd's test file stays a table of invocations.
+// plumbing so each cmd's test file stays a table of invocations. It also
+// holds the mutant catalogue (Mutants): one-line source mutations that
+// tests apply with the go command's -overlay flag, to check that the
+// conformance corpora catch them.
 package clitest
 
 import (

@@ -149,9 +149,6 @@ func (c *Cache1P) flushLine(at uint64, l *line) {
 // evictDuplicate removes a duplicate copy (the Fig. 9 "write to duplicate"
 // transitions: Clean→Invalid directly; Modified→writeback→Invalid).
 func (c *Cache1P) evictDuplicate(at uint64, m *line) {
-	if c.p.BreakDupCoherence {
-		return // testing-only coherence mutation, see CacheParams
-	}
 	c.flushLine(at, m)
 	c.markInvalid(m)
 	c.stats.DuplicateEvictions++

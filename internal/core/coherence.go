@@ -56,10 +56,6 @@ type snoopHub struct {
 	below Backend
 	l1s   []snooper
 
-	// breakCoherence skips the store snoop-invalidate (testing-only; see
-	// Config.BreakSnoopCoherence).
-	breakCoherence bool
-
 	// SnoopFlushes counts lines written back because a remote core read
 	// them; SnoopInvalidates counts copies invalidated because a remote
 	// core wrote them.
@@ -88,9 +84,6 @@ func (h *snoopHub) fill(at uint64, core int, line isa.LineID, done func(uint64, 
 // storeSnoop invalidates the written words' copies in every sibling L1.
 // Called by the writing L1's onWrite hook after the store applied locally.
 func (h *snoopHub) storeSnoop(at uint64, core int, line isa.LineID, mask uint8) {
-	if h.breakCoherence {
-		return
-	}
 	for i, l1 := range h.l1s {
 		if i != core {
 			h.SnoopInvalidates += uint64(l1.snoopInvalidate(at, line, mask))
@@ -103,8 +96,8 @@ func (h *snoopHub) storeSnoop(at uint64, core int, line isa.LineID, mask uint8) 
 // lines intersecting a fill just before it peeks, and Cache2P takes only
 // words it does not already hold (dirty ⊆ valid). With coherence intact a
 // dirty word lives in at most one cache (stores invalidate remote copies),
-// so overlay order cannot matter; with breakCoherence the fixed core order
-// keeps even broken runs deterministic.
+// so overlay order cannot matter; the fixed core order keeps any run with
+// coherence broken (a mutant of this package) deterministic as well.
 func (h *snoopHub) peek(core int, line isa.LineID) [isa.WordsPerLine]uint64 {
 	data := h.below.Peek(line)
 	for i, l1 := range h.l1s {

@@ -115,12 +115,6 @@ type CacheParams struct {
 	// overrides the static preference bit once confident. Off by default —
 	// the paper evaluates static mappings only.
 	PredictOrient bool
-
-	// BreakDupCoherence disables the Fig. 9 write-to-duplicate eviction,
-	// deliberately leaving stale other-orientation copies resident after a
-	// write. It exists ONLY so the internal/check conformance harness can
-	// prove it detects coherence bugs; no experiment configuration sets it.
-	BreakDupCoherence bool
 }
 
 // HitLatency returns the load-to-use latency of a hit.
@@ -170,13 +164,6 @@ type Config struct {
 	// the names "cpu"/"L1" and one global port per shared level; N > 1
 	// names the L1s "L1c<i>" and arbitrates every shared level per set.
 	Cores int
-
-	// BreakSnoopCoherence disables the hub's cross-core invalidation on
-	// stores — the multi-core analogue of CacheParams.BreakDupCoherence. It
-	// exists ONLY so internal/check can prove the conformance harness
-	// detects cross-core coherence bugs; no experiment configuration sets
-	// it. A no-op on single-core machines (the hub has no siblings).
-	BreakSnoopCoherence bool
 
 	// OccupancySampleInterval, when non-zero, records row/column line
 	// occupancy of every level each interval cycles (Fig. 15).

@@ -71,7 +71,7 @@ func Build(cfg Config) (*Machine, error) {
 		shared[i-1] = lvl
 		below = lvl
 	}
-	hub := &snoopHub{below: below, breakCoherence: cfg.BreakSnoopCoherence}
+	hub := &snoopHub{below: below}
 	group := &coreGroup{}
 	for i := 0; i < cores; i++ {
 		p := params[0]

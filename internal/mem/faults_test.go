@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -81,6 +82,28 @@ func TestWriteFaultExhaustionIsHardError(t *testing.T) {
 	}
 	if m.Stats().WriteFaults == 0 {
 		t.Fatal("hard fault not counted")
+	}
+}
+
+// TestWriteRetryLimitIsExact pins the retry budget to the count: with every
+// verify failing, a burst retries exactly WriteRetryLimit times and the next
+// failed verify is the hard fault.
+func TestWriteRetryLimitIsExact(t *testing.T) {
+	p := DefaultParams()
+	p.WriteFailProb = math.Nextafter(1, 0) // the largest valid probability
+	p.WriteRetryLimit = 3
+	p.FaultSeed = 7
+	q, m := newTestMemory(t, p)
+
+	m.Writeback(q.Now(), isa.LineID{Base: 0, Orient: isa.Row}, 0xff, [8]uint64{})
+	q.Run(0)
+	if err := q.Err(); !errors.Is(err, sim.ErrWriteFault) {
+		t.Fatalf("err = %v, want sim.ErrWriteFault", err)
+	}
+	st := m.Stats()
+	if st.WriteRetries != uint64(p.WriteRetryLimit) || st.WriteFaults != 1 {
+		t.Fatalf("retries %d, hard faults %d; want %d retries then 1 hard fault",
+			st.WriteRetries, st.WriteFaults, p.WriteRetryLimit)
 	}
 }
 
