@@ -44,7 +44,7 @@ func main() {
 		workload = flag.String("workload", "", "check request-workload streams (kv, htap) instead of the harness's own patterns")
 		noShrink = flag.Bool("no-shrink", false, "skip trace minimisation on failure")
 		maxFail  = flag.Int("max-failures", 1, "stop after this many failing seeds")
-		verbose  = flag.Bool("v", false, "print each seed's spec as it runs")
+		verbose  = flag.Bool("v", false, "print each seed's spec as it runs, with the fault setting it is checked under")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -110,7 +110,7 @@ sweep:
 			case *workload != "":
 				spec := check.RequestSpecForSeed(*workload, s, nc)
 				if *verbose {
-					fmt.Printf("mdacheck: %v\n", spec)
+					fmt.Printf("mdacheck: %v\n", opt.Resolve(spec))
 				}
 				var err error
 				if f, err = check.CheckRequest(spec, opt); err != nil {
@@ -119,13 +119,13 @@ sweep:
 			case nc == 1:
 				spec := check.SpecForSeed(s)
 				if *verbose {
-					fmt.Printf("mdacheck: cores=1 %v\n", spec)
+					fmt.Printf("mdacheck: cores=1 %v\n", opt.Resolve(spec))
 				}
 				f = check.CheckSpec(spec, opt)
 			default:
 				spec := check.MCSpecForSeed(s, nc)
 				if *verbose {
-					fmt.Printf("mdacheck: %v\n", spec)
+					fmt.Printf("mdacheck: %v\n", opt.Resolve(spec))
 				}
 				f = check.CheckMCSpec(spec, opt)
 			}

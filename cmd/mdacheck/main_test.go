@@ -37,6 +37,32 @@ func TestSmokeSingleSeed(t *testing.T) {
 	}
 }
 
+// TestVerboseSpecShowsCheckedFaults: -v prints each spec with the fault bit
+// the check runs under, so a forced -faults setting overrides the seed's own
+// (seed 7 derives faults=true in every corpus) and the printed spec agrees
+// with the failure header.
+func TestVerboseSpecShowsCheckedFaults(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-faults", "off"}, "faults=false"},
+		{[]string{"-faults", "off", "-cores", "2"}, "faults=false"},
+		{[]string{"-faults", "off", "-workload", "kv"}, "faults=false"},
+		{nil, "faults=true"},
+	} {
+		args := append([]string{"-seed", "7", "-v"}, c.args...)
+		res := clitest.Run(t, "mdacheck", args...)
+		if res.Code != 0 {
+			t.Fatalf("mdacheck %v: exit %d\nstdout:\n%s", args, res.Code, res.Stdout)
+		}
+		specLine, _, _ := strings.Cut(res.Stdout, "\n")
+		if !strings.Contains(specLine, c.want) {
+			t.Errorf("mdacheck %v: spec line %q lacks %q", args, specLine, c.want)
+		}
+	}
+}
+
 // TestFailureOutput runs an mdacheck built with the dup-evict mutant (see
 // clitest.Mutants) and pins the failure contract: exit 1, a shrunk trace,
 // and a copy-pasteable one-line repro command.

@@ -11,10 +11,14 @@
 //	mdaserve -state-dir ./state -max-active 2 -workers 4 -max-queue 32
 //	mdaserve -state-dir ./state -timeout 5m -max-cycles 2000000000 # default budgets
 //
-// Fleet mode: several daemons sharing one -state-dir form a work-stealing
-// fleet. Each carries a -node-id; durable jobs hold a lease that the owner
-// renews and any peer steals once it expires, so kill -9 on one node means
-// its jobs finish elsewhere, resuming from their checkpoints bit-identically:
+// Every daemon is a fleet member: it registers its bound address under
+// <state-dir>/nodes/<node-id>.json (node ID "local" by default), and every job
+// holds a lease that its owner renews. A lone daemon is a fleet of one; a
+// restart under the same node ID reclaims its jobs at once. Several daemons
+// sharing one -state-dir with distinct -node-id values form a work-stealing
+// fleet: any peer steals a job whose lease expires, so kill -9 on one node
+// means its jobs finish elsewhere, resuming from their checkpoints
+// bit-identically:
 //
 //	mdaserve -state-dir ./state -node-id a -addr 127.0.0.1:8080
 //	mdaserve -state-dir ./state -node-id b -addr 127.0.0.1:8081
@@ -34,8 +38,8 @@
 //	curl -Ns localhost:8080/jobs/<id>/events
 //
 // SIGINT/SIGTERM drain gracefully: admission stops, in-flight jobs get
-// -drain-timeout to finish, stragglers are checkpointed for the next start
-// (in fleet mode their leases are released so peers pick them up at once).
+// -drain-timeout to finish, stragglers are checkpointed and their leases
+// released, so a peer or the next start picks them up at once.
 package main
 
 import (
@@ -49,12 +53,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"mdacache/internal/experiments"
 	"mdacache/internal/serve"
 )
 
@@ -70,8 +72,8 @@ func main() {
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before checkpointing them")
 		flushN    = flag.Int("flush-every", 1, "runs per checkpoint flush (1 = flush after every run)")
 
-		nodeID = flag.String("node-id", "", "fleet node identity; daemons sharing -state-dir with distinct IDs form a work-stealing fleet")
-		lease  = flag.Duration("lease", 3*time.Second, "job lease duration in fleet mode; a job whose lease expires is stolen by a peer")
+		nodeID = flag.String("node-id", "local", "node identity, registered with the bound address in <state-dir>/nodes/<id>.json; daemons sharing -state-dir with distinct IDs form a work-stealing fleet")
+		lease  = flag.Duration("lease", 3*time.Second, "job lease duration; a job whose lease expires is stolen by a peer")
 		peers  = flag.String("peers", "", "comma-separated node base URLs for client mode (-submit/-watch)")
 
 		submit  = flag.String("submit", "", "client mode: submit the SubmitRequest JSON in this file (- for stdin) to -peers and print the response")
@@ -105,9 +107,10 @@ func main() {
 		usagef("-lease must be positive")
 	}
 
-	// Bind before building the server: fleet mode advertises the bound
-	// address (meaningful with :0) in the shared membership directory from
-	// the very first heartbeat.
+	// Bind before building the server: it advertises the bound address
+	// (meaningful with :0) in the membership directory from the very first
+	// heartbeat, which is how clients and tests find a daemon by its state
+	// dir alone.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen %s: %v", *addr, err)
@@ -132,16 +135,6 @@ func main() {
 	}
 
 	fmt.Printf("mdaserve: listening on %s\n", ln.Addr())
-	if *nodeID == "" {
-		// Publish the bound address (meaningful with :0) so clients and the
-		// test harness can find a daemon by its state dir alone. Fleet nodes
-		// advertise through the membership directory instead — N daemons
-		// must not fight over one file.
-		if err := experiments.WriteFileAtomic(filepath.Join(*stateDir, "addr"),
-			[]byte(ln.Addr().String()+"\n")); err != nil {
-			fatalf("write addr file: %v", err)
-		}
-	}
 
 	// No WriteTimeout: /jobs/{id}/events streams indefinitely and ?wait=
 	// long-polls, so handlers own their write deadlines (the events handler

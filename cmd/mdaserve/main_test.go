@@ -65,25 +65,28 @@ func stateDir(t *testing.T) string {
 }
 
 // daemon starts mdaserve against stateDir on an ephemeral port and waits for
-// the published addr file.
+// the address it registers in the membership directory as node "local".
 func daemon(t *testing.T, stateDir string, extra ...string) (*clitest.Proc, string) {
 	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-state-dir", stateDir}, extra...)
 	p := clitest.Start(t, "mdaserve", args...)
-	addrPath := filepath.Join(stateDir, "addr")
+	nodePath := filepath.Join(stateDir, "nodes", "local.json")
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if data, err := os.ReadFile(addrPath); err == nil && len(data) > 0 {
-			url := "http://" + strings.TrimSpace(string(data))
-			// The addr file may be a stale one from a previous incarnation
+		var rec struct {
+			Addr string `json:"addr"`
+		}
+		if data, err := os.ReadFile(nodePath); err == nil && json.Unmarshal(data, &rec) == nil && rec.Addr != "" {
+			// The record may be a stale one from a previous incarnation
 			// (same state dir); accept it only once the daemon answers.
-			if _, err := http.Get(url + "/healthz"); err == nil {
-				return p, url
+			if resp, err := http.Get(rec.Addr + "/healthz"); err == nil {
+				resp.Body.Close()
+				return p, rec.Addr
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("daemon never published a live addr\nstderr:\n%s", p.Stderr())
+	t.Fatalf("daemon never registered a live addr\nstderr:\n%s", p.Stderr())
 	return nil, ""
 }
 

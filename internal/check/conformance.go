@@ -185,6 +185,10 @@ func (o Options) faults(specFaults bool) bool {
 	return specFaults
 }
 
+// Resolve returns spec as a check runs it: with the fault bit that o.Faults
+// resolves its own to.
+func (o Options) Resolve(spec Spec) Spec { return spec.withFaults(o.faults(spec.rig().Faults)) }
+
 // CheckStreams runs the per-core streams (core c executes streams[c]) on
 // every applicable design and returns all invariant violations (empty ⇒ the
 // case conforms). One stream checks a single-core machine; several check
@@ -350,7 +354,7 @@ func checkDesign(d core.Design, streams [][]isa.Op, rig Rig, opt Options) []Viol
 // the core-tagged schedule to a locally-minimal failing witness. Returns nil
 // when every invariant holds.
 func checkCase(spec Spec, streams [][]isa.Op, opt Options) *Failure {
-	spec = spec.withFaults(opt.faults(spec.rig().Faults))
+	spec = opt.Resolve(spec)
 	rig, cores := spec.rig(), len(streams)
 	vio := CheckStreams(streams, rig, opt)
 	if len(vio) == 0 {

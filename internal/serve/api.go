@@ -15,6 +15,12 @@
 //     fsynced; transient write failures are retried with backoff.
 //   - Drain: shutdown stops admission, lets in-flight jobs finish (or
 //     checkpoints them at the drain deadline), and resumes them on restart.
+//
+// There is one serving mode. Every Server is a fleet member (Options.NodeID,
+// default "local"): its jobs hold leases in the shared state dir, and every
+// write on a job's behalf is fenced on the job's claim epoch, so a lone
+// server is a fleet of one and servers sharing StateDir steal each other's
+// expired jobs (lease.go, fleetnode.go).
 package serve
 
 import (
@@ -242,8 +248,9 @@ type JobStatus struct {
 	Runs []experiments.SweepRun `json:"runs,omitempty"`
 
 	// Node/NodeAddr identify the fleet node that owns (or last owned) the
-	// job. Empty outside fleet mode. A client holding a stolen job's old
-	// owner follows NodeAddr to the new one.
+	// job; Node is empty only for a record written before every server
+	// was a fleet member and not claimed since. A client holding a stolen
+	// job's old owner follows NodeAddr to the new one.
 	Node     string `json:"node,omitempty"`
 	NodeAddr string `json:"node_addr,omitempty"`
 }
@@ -287,7 +294,7 @@ type Health struct {
 	Queued   int    `json:"queued"`
 	Running  int    `json:"running"`
 	UptimeMS int64  `json:"uptime_ms"`
-	Node     string `json:"node,omitempty"` // fleet node ID ("" single-node)
+	Node     string `json:"node,omitempty"` // this server's fleet node ID
 }
 
 // FleetNode is one registered fleet member in GET /fleetz.

@@ -66,7 +66,7 @@ func (s *Server) renewOwned() {
 		j.mu.Lock()
 		state, epoch := j.state, j.epoch
 		j.mu.Unlock()
-		if epoch == 0 || (state != StateQueued && state != StateRunning) {
+		if state != StateQueued && state != StateRunning {
 			continue
 		}
 		err := s.store.renewJob(j.id, s.opt.NodeID, epoch, s.opt.Lease)
@@ -82,11 +82,14 @@ func (s *Server) renewOwned() {
 	}
 }
 
-// stealExpired scans the shared store for non-terminal jobs whose lease has
-// lapsed and claims them while this node has idle capacity. The claim bumps
-// the epoch (fencing the previous owner); the stolen job then resumes from
-// its checkpoint exactly like a restart-resume — which is why the handoff
-// stays bit-identical.
+// stealExpired scans the live index for jobs whose lease has lapsed and
+// claims them while this node has idle capacity. The claim bumps the epoch
+// (fencing the previous owner); the stolen job then resumes from its
+// checkpoint exactly like a restart-resume — which is why the handoff stays
+// bit-identical. Only live jobs are read, so the scan's cost does not grow
+// with the job history. An entry whose record is missing or terminal (left
+// by a crash between index and record writes) is skipped; a terminal one is
+// also dropped.
 func (s *Server) stealExpired() {
 	s.mu.Lock()
 	if s.draining {
@@ -105,21 +108,24 @@ func (s *Server) stealExpired() {
 		return
 	}
 
-	recs, _, err := s.store.loadJobs()
-	if err != nil {
-		s.logf("serve: steal scan: %v", err)
-		return
-	}
 	now := time.Now()
-	for _, rec := range recs {
+	for _, e := range s.store.liveJobs() {
 		if capacity <= 0 {
 			return
 		}
-		if rec.State.Terminal() || !rec.leaseExpired(now) {
+		if st, ok := local[e.id]; ok && st != StateStolen {
+			continue // already ours (the renewal loop keeps it alive)
+		}
+		rec, err := s.store.loadJob(e.id)
+		if err != nil {
 			continue
 		}
-		if st, ok := local[rec.ID]; ok && st != StateStolen {
-			continue // already ours (the renewal loop keeps it alive)
+		if rec.State.Terminal() {
+			s.store.unmarkLive(rec)
+			continue
+		}
+		if !rec.leaseExpired(now) {
+			continue
 		}
 		claimed, cerr := s.store.claimJob(rec.ID, s.opt.NodeID, s.opt.Lease)
 		switch {

@@ -18,7 +18,7 @@ import (
 //	                         ?from=<seq> resumes after a reconnect)
 //	DELETE /jobs/{id}        cancel
 //	GET    /healthz          liveness and load
-//	GET    /fleetz           fleet membership (fleet mode)
+//	GET    /fleetz           fleet membership
 //
 // Every error response is an APIError JSON body with a machine-readable code.
 func (s *Server) Handler() http.Handler {
@@ -167,13 +167,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(id)
 	if !ok {
 		// Event streams are owner-only (the broker is in-process state): a
-		// fleet peer answers with the owner's address so the client can
-		// reconnect there instead of getting a 404 for a job that exists.
-		if s.opt.fleet() {
-			if _, err := s.store.loadJob(id); err == nil {
-				writeErr(w, s.notOwnerError(id))
-				return
-			}
+		// peer answers with the owner's address so the client can reconnect
+		// there instead of getting a 404 for a job that exists.
+		if _, err := s.store.loadJob(id); err == nil {
+			writeErr(w, s.notOwnerError(id))
+			return
 		}
 		writeErr(w, apiErrorf(CodeNotFound, "no job %s", id))
 		return
@@ -250,7 +248,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, aerr := s.Cancel(id)
-	if aerr != nil && aerr.Code == CodeNotFound && s.opt.fleet() {
+	if aerr != nil && aerr.Code == CodeNotFound {
 		if _, err := s.store.loadJob(id); err == nil {
 			aerr = s.notOwnerError(id)
 		}

@@ -39,9 +39,9 @@ type job struct {
 	// window: j.done never closes for a parked job).
 	changed chan struct{}
 
-	// Fleet lease bookkeeping, mirrored from the durable record: the node
-	// that claimed the job (== this server's NodeID while we own it) and the
-	// fencing epoch of that claim. Zero outside fleet mode.
+	// Lease bookkeeping, mirrored from the durable record: the node that
+	// claimed the job (== this server's NodeID while we own it) and the
+	// fencing epoch of that claim.
 	node  string
 	epoch uint64
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"time"
 
@@ -53,13 +54,13 @@ type Options struct {
 	// default 256; negative disables caching).
 	CacheSpecs int
 
-	// NodeID names this process in a fleet of daemons sharing StateDir.
-	// "" (the default) is single-node mode: no leases, no fencing, no steal
-	// loop.
+	// NodeID names this process among the daemons sharing StateDir. Every
+	// server is a fleet member; a lone one is a fleet of one. Default
+	// "local".
 	NodeID string
-	// Advertise is the base URL peers and clients use to reach this node
-	// (fleet mode), e.g. "http://127.0.0.1:8080". Registered in the shared
-	// membership directory on every heartbeat.
+	// Advertise is the base URL peers and clients use to reach this node,
+	// e.g. "http://127.0.0.1:8080". Registered in the shared membership
+	// directory on every heartbeat.
 	Advertise string
 	// Lease is how long a job claim lasts without renewal before any peer
 	// may steal it. Default 3s. Renewal runs every Lease/3, so a node must
@@ -93,6 +94,9 @@ func (o Options) withDefaults() Options {
 	if o.CacheSpecs == 0 {
 		o.CacheSpecs = 256
 	}
+	if o.NodeID == "" {
+		o.NodeID = "local"
+	}
 	if o.Lease == 0 {
 		o.Lease = 3 * time.Second
 	}
@@ -101,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// fleet reports whether the server runs in fleet mode (lease/steal protocol).
-func (o Options) fleet() bool { return o.NodeID != "" }
 
 // Server is the job service: admission control in front of a bounded queue,
 // a dispatcher feeding at most MaxActive concurrent sweeps, durable job state
@@ -137,7 +138,7 @@ type Server struct {
 	// draining Retry-After hint is the remaining budget. Guarded by mu.
 	drainDeadline time.Time
 
-	fleetStopped chan struct{} // fleet loop exited (nil outside fleet mode)
+	fleetStopped chan struct{} // fleet loop exited
 
 	wg sync.WaitGroup // running jobs
 
@@ -147,23 +148,24 @@ type Server struct {
 	testPostPersist func()
 }
 
-// New builds a Server and re-admits every resumable job found in StateDir:
-// jobs that were queued, running, checkpointed or shed when the previous
-// process died re-enter the queue (oldest first) and resume from their sweep
-// checkpoints. Terminal jobs stay queryable.
+// New builds a Server and re-admits every resumable job found in StateDir
+// whose lease it can claim: jobs that were queued, running, checkpointed or
+// shed when their owner died or drained re-enter the queue (oldest first) and
+// resume from their sweep checkpoints. Terminal jobs stay queryable.
 func New(opt Options) (*Server, error) {
 	if opt.StateDir == "" {
 		return nil, errors.New("serve: Options.StateDir is required")
 	}
 	opt = opt.withDefaults()
 	s := &Server{
-		opt:     opt,
-		start:   time.Now(),
-		jobs:    make(map[string]*job),
-		byKey:   make(map[string]*job),
-		wake:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
+		opt:          opt,
+		start:        time.Now(),
+		jobs:         make(map[string]*job),
+		byKey:        make(map[string]*job),
+		wake:         make(chan struct{}, 1),
+		quit:         make(chan struct{}),
+		stopped:      make(chan struct{}),
+		fleetStopped: make(chan struct{}),
 	}
 	if opt.CacheSpecs > 0 {
 		s.cache = newSpecCache(opt.CacheSpecs)
@@ -182,46 +184,41 @@ func New(opt Options) (*Server, error) {
 	for _, dir := range skipped {
 		s.logf("serve: skipping unreadable job dir %s", dir)
 	}
+	if err := st.reindex(recs); err != nil {
+		return nil, err
+	}
 	for _, rec := range recs {
-		if rec.State.Terminal() {
-			j := jobFromRecord(rec)
-			close(j.done)
-			j.broker.Close()
-			s.jobs[j.id] = j
-			continue
-		}
-		if opt.fleet() {
+		if !rec.State.Terminal() {
 			// A peer may own (or be finishing) this job: only re-admit
 			// what we can claim. Unclaimable jobs stay off the local map;
 			// their statuses are served from disk.
 			claimed, cerr := st.claimJob(rec.ID, opt.NodeID, opt.Lease)
 			switch {
-			case errors.Is(cerr, errLeaseHeld):
+			case cerr == nil:
+				// Interrupted job: back to the queue, resuming from its
+				// checkpoint. The prior owner's partial progress is on disk.
+				s.readmitLocked(claimed, "re-admitted")
 				continue
 			case errors.Is(cerr, errJobTerminal):
-				if fresh, lerr := st.loadJob(rec.ID); lerr == nil {
-					j := jobFromRecord(fresh)
-					close(j.done)
-					j.broker.Close()
-					s.jobs[j.id] = j
+				// A peer finished it since the scan: serve that record.
+				if rec, cerr = st.loadJob(rec.ID); cerr != nil {
+					continue
 				}
+			case errors.Is(cerr, errLeaseHeld):
 				continue
-			case cerr != nil:
+			default:
 				s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
 				continue
 			}
-			rec = claimed
 		}
-		// Interrupted job: back to the queue, resuming from its
-		// checkpoint. The prior process's partial progress is on disk.
-		s.readmitLocked(rec, "re-admitted")
+		j := jobFromRecord(rec)
+		close(j.done)
+		j.broker.Close()
+		s.jobs[j.id] = j
 	}
 
 	go s.dispatch()
-	if opt.fleet() {
-		s.fleetStopped = make(chan struct{})
-		go s.fleetLoop()
-	}
+	go s.fleetLoop()
 	s.kick() // start any re-admitted jobs
 	return s, nil
 }
@@ -316,14 +313,12 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, *APIError) {
 		prior.mu.Unlock()
 		return SubmitResponse{ID: prior.id, State: state, Deduped: true}, nil
 	}
-	if s.opt.fleet() {
-		// A peer may already hold an identical job: single-flight onto the
-		// fleet-wide copy so concurrent clients hitting different nodes
-		// still share one simulation.
-		if id, state, ok := s.dedupOnDiskLocked(key); ok {
-			s.mu.Unlock()
-			return SubmitResponse{ID: id, State: state, Deduped: true}, nil
-		}
+	// A peer may already hold an identical job: single-flight onto the
+	// fleet-wide copy so concurrent clients hitting different nodes still
+	// share one simulation.
+	if id, state, ok := s.dedupOnDiskLocked(key); ok {
+		s.mu.Unlock()
+		return SubmitResponse{ID: id, State: state, Deduped: true}, nil
 	}
 	if len(s.queue)+s.admitting >= s.opt.MaxQueue {
 		n := len(s.queue) + s.admitting
@@ -334,10 +329,8 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, *APIError) {
 		return SubmitResponse{}, aerr
 	}
 	j := newJob(newJobID(), key, specs, budget, time.Now())
-	if s.opt.fleet() {
-		j.node = s.opt.NodeID
-		j.epoch = 1
-	}
+	j.node = s.opt.NodeID
+	j.epoch = 1
 	s.jobs[j.id] = j
 	s.byKey[key] = j
 	s.admitting++
@@ -456,14 +449,14 @@ func (s *Server) observeJobDuration(d time.Duration) {
 }
 
 // dedupOnDiskLocked looks for a live (non-terminal) job with the same dedup
-// key anywhere in the fleet's shared store. Caller holds s.mu.
+// key anywhere in the fleet's shared store, reading only the live index and
+// the records it names under key. Caller holds s.mu.
 func (s *Server) dedupOnDiskLocked(key string) (id string, state State, ok bool) {
-	recs, _, err := s.store.loadJobs()
-	if err != nil {
-		return "", "", false
-	}
-	for _, rec := range recs {
-		if rec.Key == key && !rec.State.Terminal() {
+	for _, e := range s.store.liveJobs() {
+		if e.key != key {
+			continue
+		}
+		if rec, err := s.store.loadJob(e.id); err == nil && !rec.State.Terminal() {
 			return rec.ID, rec.State, true
 		}
 	}
@@ -519,19 +512,17 @@ func (s *Server) Status(id string, includeRuns bool) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	st := j.status(pos, includeRuns)
-	if s.opt.fleet() {
-		j.mu.Lock()
-		node, stolen := j.node, j.state == StateStolen
-		j.mu.Unlock()
-		if stolen {
-			// The durable record names the thief — point the client there.
-			if rec, err := s.store.loadJob(id); err == nil {
-				node = rec.NodeID
-			}
+	j.mu.Lock()
+	node, stolen := j.node, j.state == StateStolen
+	j.mu.Unlock()
+	if stolen {
+		// The durable record names the thief — point the client there.
+		if rec, err := s.store.loadJob(id); err == nil {
+			node = rec.NodeID
 		}
-		st.Node = node
-		st.NodeAddr = s.resolveAddr(node)
 	}
+	st.Node = node
+	st.NodeAddr = s.resolveAddr(node)
 	return st, true
 }
 
@@ -542,9 +533,6 @@ func (s *Server) Status(id string, includeRuns bool) (JobStatus, bool) {
 func (s *Server) StatusAny(id string, includeRuns bool) (JobStatus, bool) {
 	if st, ok := s.Status(id, includeRuns); ok {
 		return st, true
-	}
-	if !s.opt.fleet() {
-		return JobStatus{}, false
 	}
 	rec, err := s.store.loadJob(id)
 	if err != nil {
@@ -600,7 +588,13 @@ func (s *Server) Statuses() []JobStatus {
 	for i, j := range jobs {
 		out[i] = j.status(pos[j], false)
 	}
-	sortStatuses(out)
+	// (CreatedMS, ID) is unique: IDs are.
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].CreatedMS != out[b].CreatedMS {
+			return out[a].CreatedMS < out[b].CreatedMS
+		}
+		return out[a].ID < out[b].ID
+	})
 	return out
 }
 
@@ -640,7 +634,9 @@ func (s *Server) Cancel(id string) (JobStatus, *APIError) {
 		j.notifyLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
-		s.persistAndLog(j)
+		if err := s.persist(j); err != nil {
+			s.logf("%v", err)
+		}
 		s.publish(j, func(ev *JobEvent) {
 			ev.Type = "state"
 			ev.State = StateCancelled
@@ -770,8 +766,12 @@ func (s *Server) runJob(j *job) {
 	deadlineMS := j.budget.DeadlineMS
 	budget := j.budget
 	specs := j.specs
+	node, epoch := j.node, j.epoch
 	j.mu.Unlock()
-	s.persistAndLog(j)
+	// Running is not written to job.json: a crash re-admits a queued job and
+	// a running one alike, the owner answers status from memory, and the
+	// event log records the transition. The sweep's first fenced checkpoint
+	// flush is the job's next durable write.
 	s.publish(j, func(ev *JobEvent) {
 		ev.Type = "state"
 		ev.State = StateRunning
@@ -801,17 +801,12 @@ func (s *Server) runJob(j *job) {
 			s.onRun(j, index, run, sharedKeys, &sharedMu)
 		},
 		StatePath: s.store.checkpointPath(j.id),
-	}
-	if s.opt.fleet() {
 		// Fence every checkpoint flush on the claim epoch: a stolen job's
 		// old owner must not clobber the thief's resumed state. A refused
 		// flush aborts the sweep with experiments.ErrStateConflict.
-		j.mu.Lock()
-		node, epoch := j.node, j.epoch
-		j.mu.Unlock()
-		opt.WriteState = func(path string, data []byte) error {
+		WriteState: func(path string, data []byte) error {
 			return s.store.writeJobFileFenced(j.id, node, epoch, path, data)
-		}
+		},
 	}
 	if s.cache != nil {
 		opt.Run = func(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, error) {
@@ -892,43 +887,36 @@ func (s *Server) onRun(j *job, index int, run experiments.SweepRun, sharedKeys m
 }
 
 // finishJob moves a job to a terminal state, persists it and closes its
-// stream. In fleet mode the terminal record is persisted under the claim
-// epoch *before* the in-memory commit: if a peer stole the job during the
-// final flush the fenced write refuses, we mark the job stolen instead, and
-// exactly one terminal record (the thief's, when it finishes) ever exists.
+// stream. The terminal record is persisted under the claim epoch *before*
+// the in-memory commit: if a peer stole the job during the final flush the
+// fenced write refuses, we mark the job stolen instead, and exactly one
+// terminal record (the thief's, when it finishes) ever exists.
 func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aerr *APIError) {
 	j.mu.Lock()
 	if j.state.Terminal() || j.state == StateStolen {
 		j.mu.Unlock()
 		return
 	}
-	fenced := s.opt.fleet() && j.epoch > 0
-	var rec jobRecord
-	if fenced {
-		finished := time.Now()
-		rec = j.recordLocked()
-		rec.State = state
-		rec.Error = aerr
-		rec.FinishedMS = msTime(finished)
-		rec.Runs = runs
-		j.mu.Unlock()
-		err := s.store.saveJobKeepLease(rec, s.opt.Lease)
-		if errors.Is(err, errFenced) {
-			s.markStolen(j)
-			return
-		}
-		if err != nil {
-			s.logf("%v", err)
-		}
-		j.mu.Lock()
-		if j.state.Terminal() || j.state == StateStolen {
-			j.mu.Unlock()
-			return
-		}
-		j.finished = finished
-	} else {
-		j.finished = time.Now()
+	finished := time.Now()
+	rec := j.recordLocked()
+	rec.State = state
+	rec.Error = aerr
+	rec.FinishedMS = msTime(finished)
+	rec.Runs = runs
+	j.mu.Unlock()
+	err := s.save(j, rec)
+	if errors.Is(err, errFenced) {
+		return // withdrawn as stolen
 	}
+	if err != nil {
+		s.logf("%v", err)
+	}
+	j.mu.Lock()
+	if j.state.Terminal() || j.state == StateStolen {
+		j.mu.Unlock()
+		return
+	}
+	j.finished = finished
 	j.state = state
 	j.err = aerr
 	j.runs = runs
@@ -936,7 +924,6 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 	j.completed, j.failed, j.resumed = 0, 0, 0
 	tallyRuns(j, runs)
 	started := j.started
-	finished := j.finished
 	close(j.done)
 	j.notifyLocked()
 	j.mu.Unlock()
@@ -948,10 +935,6 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 	s.mu.Unlock()
 	if !started.IsZero() {
 		s.observeJobDuration(finished.Sub(started))
-	}
-
-	if !fenced {
-		s.persistAndLog(j)
 	}
 	s.publish(j, func(ev *JobEvent) {
 		ev.Type = "state"
@@ -1008,9 +991,9 @@ func (s *Server) markStolen(j *job) {
 }
 
 // parkJob records an interrupted (non-terminal) job so a restart resumes it.
-// The event stream stays open — the job is not finished, merely paused. In
-// fleet mode the park also releases the lease, so a peer steals the job
-// immediately instead of waiting out the expiry.
+// The event stream stays open — the job is not finished, merely paused. The
+// park also releases the lease, so a peer (or the next process on this
+// node) claims the job immediately instead of waiting out the expiry.
 func (s *Server) parkJob(j *job, state State) {
 	j.mu.Lock()
 	if j.state.Terminal() || j.state == StateStolen {
@@ -1020,15 +1003,10 @@ func (s *Server) parkJob(j *job, state State) {
 	j.state = state
 	j.cancel = nil
 	j.notifyLocked()
-	fenced := s.opt.fleet() && j.epoch > 0
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	if fenced {
-		if err := s.store.releaseLease(rec); err != nil && !errors.Is(err, errFenced) {
-			s.logf("%v", err)
-		}
-	} else {
-		s.persistAndLog(j)
+	if err := s.store.releaseLease(rec); err != nil && !errors.Is(err, errFenced) {
+		s.logf("%v", err)
 	}
 	s.publish(j, func(ev *JobEvent) {
 		ev.Type = "state"
@@ -1083,33 +1061,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.baseCut()
 	s.quitOnce.Do(func() { close(s.quit) })
 	<-s.stopped
-	if s.fleetStopped != nil {
-		<-s.fleetStopped
-	}
+	<-s.fleetStopped
 	return err
 }
 
-// persist writes the job's durable record. In fleet mode the write is fenced
-// on the claim epoch and preserves whatever lease expiry the renewal loop
-// last wrote.
+// persist writes the job's durable record, fenced on its claim epoch.
 func (s *Server) persist(j *job) error {
 	j.mu.Lock()
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	if s.opt.fleet() && rec.Epoch > 0 {
-		err := s.store.saveJobKeepLease(rec, s.opt.Lease)
-		if errors.Is(err, errFenced) {
-			s.markStolen(j)
-		}
-		return err
-	}
-	return s.store.saveJob(rec)
+	return s.save(j, rec)
 }
 
-func (s *Server) persistAndLog(j *job) {
-	if err := s.persist(j); err != nil {
-		s.logf("%v", err)
+// save writes rec, a snapshot of j, under j's fence; a refusal means a peer
+// stole the job, which is withdrawn here.
+func (s *Server) save(j *job, rec jobRecord) error {
+	err := s.store.saveJobKeepLease(rec, s.opt.Lease)
+	if errors.Is(err, errFenced) {
+		s.markStolen(j)
 	}
+	return err
 }
 
 // publish stamps, logs and broadcasts one event on the job's stream. The
@@ -1166,20 +1137,4 @@ func newJobID() string {
 		panic(fmt.Sprintf("serve: rand: %v", err)) // crypto/rand never fails on supported platforms
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// sortStatuses orders by creation time then ID.
-func sortStatuses(sts []JobStatus) {
-	for i := 1; i < len(sts); i++ {
-		for k := i; k > 0 && less(sts[k], sts[k-1]); k-- {
-			sts[k], sts[k-1] = sts[k-1], sts[k]
-		}
-	}
-}
-
-func less(a, b JobStatus) bool {
-	if a.CreatedMS != b.CreatedMS {
-		return a.CreatedMS < b.CreatedMS
-	}
-	return a.ID < b.ID
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"mdacache/internal/experiments"
@@ -30,9 +31,10 @@ type jobRecord struct {
 	StartedMS  int64 `json:"started_ms,omitempty"`
 	FinishedMS int64 `json:"finished_ms,omitempty"`
 
-	// Fleet lease (zero/absent on single-node records): the node that owns
-	// the job, the instant its ownership lapses, and the fencing epoch that
-	// is bumped on every claim. See lease.go for the protocol.
+	// Lease: the node that owns the job, the instant its ownership lapses,
+	// and the fencing epoch that is bumped on every claim. Absent on records
+	// written before every server became a fleet member; New claims those
+	// like any other. See lease.go for the protocol.
 	NodeID       string `json:"node_id,omitempty"`
 	LeaseUntilMS int64  `json:"lease_until_ms,omitempty"`
 	Epoch        uint64 `json:"epoch,omitempty"`
@@ -46,6 +48,8 @@ type jobRecord struct {
 //	<dir>/jobs/<id>/job.json        — the jobRecord, atomically rewritten
 //	<dir>/jobs/<id>/checkpoint.json — the sweep checkpoint (RunSweep owns it)
 //	<dir>/jobs/<id>/events.jsonl    — append-only event log (best-effort)
+//	<dir>/jobs/<id>/claim.lock      — the lease flock and fence (lease.go)
+//	<dir>/live/<id>.<key>           — live index: a link to each non-terminal job's claim.lock
 //
 // All job.json writes go through experiments.WriteFileAtomic with bounded
 // retry: a transient write failure must not take down a job whose simulation
@@ -58,8 +62,10 @@ type store struct {
 
 func newStore(dir string) (*store, error) {
 	s := &store{dir: dir, retries: 3, backoff: 50 * time.Millisecond}
-	if err := os.MkdirAll(s.jobsDir(), 0o755); err != nil {
-		return nil, fmt.Errorf("serve: state dir: %w", err)
+	for _, d := range []string{s.jobsDir(), s.liveDir()} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, fmt.Errorf("serve: state dir: %w", err)
+		}
 	}
 	return s, nil
 }
@@ -99,6 +105,71 @@ func (s *store) saveJob(rec jobRecord) error {
 	}
 	if err != nil {
 		return fmt.Errorf("serve: persist job %s: %w", rec.ID, err)
+	}
+	return nil
+}
+
+// The live index names every non-terminal job, with its dedup key, so the
+// scans that run while serving — Submit's fleet-wide dedup and the steal loop
+// — cost time in proportion to live jobs, not to the job history. An entry
+// goes in before a new job's first record and comes out after its terminal
+// one: a crash in between leaves a stale entry, which the scans skip, never a
+// live job missing from the index. New rebuilds the index from the records
+// it reads at startup.
+
+type liveEntry struct{ id, key string }
+
+func (s *store) liveDir() string { return filepath.Join(s.dir, "live") }
+
+func (s *store) livePath(id, key string) string {
+	return filepath.Join(s.liveDir(), id+"."+key)
+}
+
+// markLive indexes rec as live. The entry is a hard link to the job's
+// claim.lock (created here if a record predates it), so indexing allocates no
+// inode and dropping the entry frees none: on the job's hot path both cost a
+// directory update, no more.
+func (s *store) markLive(rec jobRecord) error {
+	f, err := os.OpenFile(s.lockPath(rec.ID), os.O_CREATE|os.O_RDONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	f.Close()
+	err = os.Link(s.lockPath(rec.ID), s.livePath(rec.ID, rec.Key))
+	if errors.Is(err, os.ErrExist) {
+		return nil
+	}
+	return err
+}
+
+// unmarkLive drops rec's entry. Best-effort: a stale entry is only skipped.
+func (s *store) unmarkLive(rec jobRecord) {
+	os.Remove(s.livePath(rec.ID, rec.Key))
+}
+
+// liveJobs lists the live index.
+func (s *store) liveJobs() []liveEntry {
+	entries, err := os.ReadDir(s.liveDir())
+	if err != nil {
+		return nil
+	}
+	out := make([]liveEntry, 0, len(entries))
+	for _, e := range entries {
+		if id, key, ok := strings.Cut(e.Name(), "."); ok {
+			out = append(out, liveEntry{id, key})
+		}
+	}
+	return out
+}
+
+// reindex makes the live index agree with recs, every record in the store.
+func (s *store) reindex(recs []jobRecord) error {
+	for _, rec := range recs {
+		if rec.State.Terminal() {
+			s.unmarkLive(rec)
+		} else if err := s.markLive(rec); err != nil {
+			return fmt.Errorf("serve: live index: %w", err)
+		}
 	}
 	return nil
 }
