@@ -16,8 +16,8 @@ import (
 )
 
 // SpecKey renders a RunSpec into the stable string used to identify its run
-// in a checkpoint file and the service's spec caches. Two specs share a key
-// exactly when every field is equal. The key names each non-zero field,
+// in a checkpoint file and in a Memo. Two specs share a key exactly when
+// every field is equal. The key names each non-zero field,
 // "{Bench:sgemm N:16 Design:1P2L LLCBytes:1048576 Scale:16 Tech:reram}", so
 // it stays short and a field added later with a zero default leaves
 // existing keys valid.

@@ -42,7 +42,7 @@ func CheckDeterminism(ctx context.Context, specs []RunSpec, workers int, opt Swe
 
 // DiffRuns compares two sweep outcomes and returns nil when they are deeply
 // equal, or an error naming the first divergence. Attempts and Resumed are
-// compared too: a deterministic sweep retries and resumes identically.
+// compared too: a deterministic sweep simulates and resumes identically.
 func DiffRuns(a, b []SweepRun) error {
 	return diffRuns(a, b, true)
 }

@@ -86,7 +86,7 @@ func TestRunTwiceBitIdentical(t *testing.T) {
 // Workers=1 result — same specs, same seeds, fault injection enabled — and
 // runs under -race in CI.
 func TestSweepParallelMatchesSequential(t *testing.T) {
-	if err := CheckDeterminism(context.Background(), detSpecs(), 4, SweepOptions{Retries: 1}); err != nil {
+	if err := CheckDeterminism(context.Background(), detSpecs(), 4, SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,6 +27,7 @@
 // Sweep infrastructure:
 //
 //	RunSweep          — crash-isolated parallel sweep (SweepOptions.Workers)
+//	Memo              — single-flight memo of runs by SpecKey (Suite, mdaserve)
 //	Checkpoint        — mutex-guarded, atomically-flushed resume state
 //	CheckDeterminism  — harness proving Workers=N ≡ Workers=1, bit for bit
 package experiments

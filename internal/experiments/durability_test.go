@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mdacache/internal/core"
@@ -106,5 +109,81 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if err := WriteFileAtomic(filepath.Join(dir, "no-such-subdir", "x"), []byte("y")); err == nil {
 		t.Fatal("write into a missing directory must fail")
+	}
+}
+
+// stubRun stands in for a simulation: the flush tests exercise only the
+// checkpoint plumbing around it.
+func stubRun(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
+	return &core.Results{Cycles: uint64(spec.N)}, nil
+}
+
+// TestSweepFlushRetriesTransientFailure: a checkpoint write that fails twice
+// and then succeeds costs the sweep nothing — the flush is retried and the
+// state file ends up holding every run.
+func TestSweepFlushRetriesTransientFailure(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "sweep.json")
+	specs := []RunSpec{testSpec("sgemm", core.D0Baseline), testSpec("sobel", core.D1DiffSet)}
+	var writes atomic.Int64
+	runs, err := RunSweep(context.Background(), specs, SweepOptions{
+		Workers:   1,
+		StatePath: state,
+		Run:       stubRun,
+		WriteState: func(path string, data []byte) error {
+			if writes.Add(1) <= 2 {
+				return errors.New("injected transient write failure")
+			}
+			return WriteFileAtomic(path, data)
+		},
+	})
+	if err != nil {
+		t.Fatalf("sweep failed on a transient flush error: %v", err)
+	}
+	for i, r := range runs {
+		if !r.OK() {
+			t.Fatalf("run %d: %s", i, r.Err)
+		}
+	}
+	if n := writes.Load(); n < 3 {
+		t.Fatalf("%d writes, want the two failures retried", n)
+	}
+	ckpt, err := LoadCheckpoint(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		if _, ok := ckpt.Results(SpecKey(spec)); !ok {
+			t.Fatalf("state file lacks %v", spec)
+		}
+	}
+}
+
+// TestSweepStateConflictAborts: a fenced write refused with ErrStateConflict
+// is permanent — it is neither retried nor repeated by the final flush, and
+// the sweep stops with that error.
+func TestSweepStateConflictAborts(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "sweep.json")
+	specs := []RunSpec{testSpec("sgemm", core.D0Baseline), testSpec("sobel", core.D1DiffSet)}
+	var writes, sims atomic.Int64
+	_, err := RunSweep(context.Background(), specs, SweepOptions{
+		Workers:   1,
+		StatePath: state,
+		Run: func(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
+			sims.Add(1)
+			return stubRun(ctx, spec, ins)
+		},
+		WriteState: func(path string, data []byte) error {
+			writes.Add(1)
+			return fmt.Errorf("fenced: %w", ErrStateConflict)
+		},
+	})
+	if !errors.Is(err, ErrStateConflict) {
+		t.Fatalf("sweep error %v, want ErrStateConflict", err)
+	}
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("WriteState called %d times, want 1", n)
+	}
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("%d runs simulated after the conflict aborted the sweep, want 1", n)
 	}
 }

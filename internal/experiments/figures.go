@@ -36,28 +36,26 @@ type Suite struct {
 
 	// Profiles, when non-nil, collects a phase profile for every
 	// simulation the suite actually runs (checkpoint-resumed and
-	// cache-shared runs contribute nothing — they cost no simulation
+	// memo-shared runs contribute nothing — they cost no simulation
 	// time). Safe under concurrent figure generation.
 	Profiles *obs.ProfileLog
 
-	// mu guards cache and inflight; the suite is safe for concurrent
-	// figure generation (mdabench -workers runs independent figures in
-	// parallel). Simulations are deterministic per spec, so concurrency
-	// changes wall-clock time only, never results.
-	mu       sync.Mutex
-	cache    map[RunSpec]*core.Results
-	inflight map[RunSpec]chan struct{}
-	logMu    sync.Mutex
+	// memo shares every simulation among the figures; it is unbounded, so
+	// one suite never simulates a spec twice. The suite is safe for
+	// concurrent figure generation (mdabench -workers runs independent
+	// figures in parallel). Simulations are deterministic per spec, so
+	// concurrency changes wall-clock time only, never results.
+	memo  *Memo
+	logMu sync.Mutex
 }
 
 // NewSuite returns a suite at the given scale over all seven benchmarks.
 func NewSuite(scale int, log io.Writer) *Suite {
 	return &Suite{
-		Scale:    scale,
-		Benches:  append([]string(nil), workloads.Names...),
-		Log:      log,
-		cache:    make(map[RunSpec]*core.Results),
-		inflight: make(map[RunSpec]chan struct{}),
+		Scale:   scale,
+		Benches: append([]string(nil), workloads.Names...),
+		Log:     log,
+		memo:    NewMemo(0),
 	}
 }
 
@@ -84,55 +82,19 @@ func (s *Suite) logf(format string, args ...interface{}) {
 	}
 }
 
-// run executes (or reuses) one simulation. Concurrent callers asking for the
-// same spec share one simulation (single-flight): the first caller runs it,
-// the rest block until the result lands in the cache.
+// run executes (or reuses) one simulation through the suite's memo:
+// concurrent and later callers asking for the same spec share one
+// simulation and its outcome, failures included.
 func (s *Suite) run(spec RunSpec) (*core.Results, error) {
 	spec.Scale = s.Scale
 	spec.MaxCycles = s.MaxCycles
 	spec.Timeout = s.Timeout
-	for {
-		s.mu.Lock()
-		if s.cache == nil {
-			s.cache = make(map[RunSpec]*core.Results)
-		}
-		if s.inflight == nil {
-			s.inflight = make(map[RunSpec]chan struct{})
-		}
-		if r, ok := s.cache[spec]; ok {
-			s.mu.Unlock()
-			return r, nil
-		}
-		if wait, ok := s.inflight[spec]; ok {
-			s.mu.Unlock()
-			<-wait
-			// The leader finished (or failed); re-check the cache. On
-			// failure every waiter re-runs and reports the error itself.
-			s.mu.Lock()
-			if r, ok := s.cache[spec]; ok {
-				s.mu.Unlock()
-				return r, nil
-			}
-			s.mu.Unlock()
-			continue
-		}
-		ch := make(chan struct{})
-		s.inflight[spec] = ch
-		s.mu.Unlock()
-		r, err := s.simulate(spec)
-		s.mu.Lock()
-		if err == nil {
-			s.cache[spec] = r
-		}
-		delete(s.inflight, spec)
-		s.mu.Unlock()
-		close(ch)
-		return r, err
-	}
+	r, _, err := s.memo.Do(context.Background(), spec, s.simulate)
+	return r, err
 }
 
 // simulate runs one spec, consulting the checkpoint first.
-func (s *Suite) simulate(spec RunSpec) (*core.Results, error) {
+func (s *Suite) simulate(ctx context.Context, spec RunSpec) (*core.Results, error) {
 	key := SpecKey(spec)
 	if s.Checkpoint != nil {
 		if r, ok := s.Checkpoint.Results(key); ok {
@@ -145,7 +107,7 @@ func (s *Suite) simulate(spec RunSpec) (*core.Results, error) {
 	if s.Profiles != nil {
 		ins.Profile = &obs.RunProfile{Name: spec.String()}
 	}
-	r, err := RunWith(context.Background(), spec, ins)
+	r, err := RunWith(ctx, spec, ins)
 	if err != nil {
 		return nil, err
 	}

@@ -25,11 +25,6 @@ type SweepOptions struct {
 	// that carry their own MaxCycles keep it.
 	MaxCycles uint64
 
-	// Retries is how many additional attempts a failed run gets before its
-	// failure is recorded. Deterministic failures (deadlock, bad spec) fail
-	// every attempt; retries matter once runs carry injected faults.
-	Retries int
-
 	// Workers bounds how many design points simulate concurrently.
 	// 0 uses runtime.GOMAXPROCS(0); 1 reproduces the sequential behaviour.
 	// Simulations are deterministic per spec (every machine owns its event
@@ -42,14 +37,15 @@ type SweepOptions struct {
 	// failures alike — are reloaded instead of re-simulated. The checkpoint
 	// is safe under concurrent workers: records are mutex-guarded and every
 	// flush rewrites the file atomically, so a sweep killed mid-flight
-	// resumes cleanly.
+	// resumes cleanly. A failed flush is retried four times, with backoff
+	// doubling from 50ms, before it aborts the sweep.
 	StatePath string
 
 	// FlushEvery is how many finished runs may accumulate between checkpoint
 	// flushes (<=1 flushes after every run). Larger values amortise the
 	// atomic file rewrite across fast runs; a crash loses at most
 	// FlushEvery-1 finished runs. The checkpoint is always flushed before
-	// RunSweep returns.
+	// RunSweep returns, unless WriteState reported ErrStateConflict.
 	FlushEvery int
 
 	// Log receives per-run progress lines (nil = silent). Lines from
@@ -63,18 +59,6 @@ type SweepOptions struct {
 	// Results, so they cannot perturb determinism checks or checkpoints.
 	Profile bool
 
-	// FlushRetries is how many times a failed checkpoint flush is retried
-	// (with exponential backoff, starting at FlushBackoff) before it is
-	// declared an infrastructure failure and aborts the sweep. Flush
-	// failures are frequently transient — ENOSPC races, NFS hiccups, AV
-	// scanners holding the file — and a long-running service should not
-	// lose a job to one. 0 keeps the historical fail-fast behaviour.
-	FlushRetries int
-
-	// FlushBackoff is the initial retry delay for FlushRetries (default
-	// 50ms, doubling per attempt).
-	FlushBackoff time.Duration
-
 	// OnRun, when non-nil, observes every finished run — simulated,
 	// failed, and checkpoint-resumed alike — as it completes. index is the
 	// run's position in specs. Calls are serialized (never concurrent) but
@@ -83,11 +67,10 @@ type SweepOptions struct {
 	// it briefly holds up the worker that finished the run.
 	OnRun func(index int, run SweepRun)
 
-	// Run, when non-nil, replaces RunWith as the executor of
-	// each attempt. Services layer cross-job caches and single-flight
-	// sharing here; the checkpoint, retry and budget plumbing all stay in
-	// RunSweep. The function must be safe for concurrent calls and
-	// deterministic per spec.
+	// Run, when non-nil, replaces RunWith as the executor of each run.
+	// mdaserve shares runs across jobs here through a Memo; the checkpoint
+	// and budget plumbing stay in RunSweep. The function must be safe for
+	// concurrent calls and deterministic per spec.
 	Run func(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error)
 
 	// WriteState, when non-nil, replaces WriteFileAtomic for every
@@ -95,8 +78,9 @@ type SweepOptions struct {
 	// hook may refuse the write (returning an error wrapping
 	// ErrStateConflict) when the caller no longer owns the state file — a
 	// slow old owner must not clobber the checkpoint of a job another node
-	// has stolen. ErrStateConflict failures abort the sweep immediately
-	// (they are permanent: no FlushRetries are spent on them).
+	// has stolen. ErrStateConflict failures abort the sweep immediately:
+	// they are permanent, so the flush is neither retried nor repeated at
+	// the end of the sweep. Other failures are retried like any flush.
 	WriteState func(path string, data []byte) error
 }
 
@@ -128,7 +112,7 @@ type SweepRun struct {
 	Results  *core.Results // nil when the run failed
 	Err      string        // failure annotation ("" on success)
 	ErrCode  sim.Code      `json:",omitempty"` // taxonomy code for Err ("" on success)
-	Attempts int           // simulation attempts this process made (0 if resumed)
+	Attempts int           // 1 if this process simulated the run, 0 if resumed
 	Resumed  bool          // satisfied from the checkpoint file
 
 	// Profile is the run's phase breakdown when SweepOptions.Profile was
@@ -281,41 +265,28 @@ func RunSweep(ctx context.Context, specs []RunSpec, opt SweepOptions) ([]SweepRu
 			for i := range work {
 				run := runs[i]
 				spec := run.Spec
-				var lastErr error
-				for attempt := 0; attempt <= opt.Retries; attempt++ {
-					run.Attempts++
-					log.logf("sweep: running %v (attempt %d) ...", spec, run.Attempts)
-					var ins Instrument
-					if opt.Profile {
-						// Fresh profile per attempt so a retried run
-						// reports only the attempt that produced results.
-						ins.Profile = &obs.RunProfile{Name: spec.String()}
-					}
-					r, err := runFn(sctx, spec, ins)
-					if err == nil {
-						run.Results, run.Err, run.ErrCode, lastErr = r, "", "", nil
-						run.Profile = ins.Profile
-						break
-					}
-					run.Err, run.ErrCode, lastErr = err.Error(), sim.CodeOf(err), err
-					if sctx.Err() != nil {
-						// The whole sweep was cancelled; don't burn
-						// retries on it.
-						break
-					}
+				run.Attempts = 1
+				log.logf("sweep: running %v ...", spec)
+				var ins Instrument
+				if opt.Profile {
+					ins.Profile = &obs.RunProfile{Name: spec.String()}
 				}
-				if run.Err != "" {
-					log.logf("sweep: %v FAILED after %d attempt(s): %s", spec, run.Attempts, run.Err)
+				r, err := runFn(sctx, spec, ins)
+				if err == nil {
+					run.Results, run.Profile = r, ins.Profile
+				} else {
+					run.Err, run.ErrCode = err.Error(), sim.CodeOf(err)
+					log.logf("sweep: %v FAILED: %s", spec, run.Err)
 				}
 				// Memoise the outcome — except wall-clock timeouts, which
 				// depend on host speed, not the simulation: replaying a
 				// stale timeout after a cancel/resume would make the
 				// resumed sweep diverge from an uninterrupted one. A
 				// timed-out run stays unrecorded so resume re-simulates it.
-				if ckpt != nil && sctx.Err() == nil && !errors.Is(lastErr, sim.ErrTimeout) {
+				if ckpt != nil && sctx.Err() == nil && !errors.Is(err, sim.ErrTimeout) {
 					ckpt.RecordBuffered(run.Key, run.Results, run.Err, run.ErrCode)
 					if ckpt.Dirty() >= flushEvery {
-						if err := flushWithRetry(ckpt, opt, sctx); err != nil {
+						if err := flushWithRetry(sctx, ckpt); err != nil {
 							setErr(err)
 						}
 					}
@@ -339,17 +310,18 @@ feed:
 	close(work)
 	wg.Wait()
 
-	if ckpt != nil {
-		// The final flush runs even when the sweep was cancelled: whatever
-		// completed before the cancel must land on disk so the job resumes
-		// instead of restarting. ctx is deliberately not consulted here.
-		if err := flushWithRetry(ckpt, opt, context.Background()); err != nil {
-			setErr(err)
-		}
-	}
 	errMu.Lock()
 	err := infraErr
 	errMu.Unlock()
+	if ckpt != nil && !errors.Is(err, ErrStateConflict) {
+		// The final flush runs even when the sweep was cancelled: whatever
+		// completed before the cancel must land on disk so the job resumes
+		// instead of restarting. ctx is deliberately not consulted here. A
+		// revoked state file is left to its new owner.
+		if ferr := flushWithRetry(context.Background(), ckpt); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -365,20 +337,25 @@ feed:
 	return runs, nil
 }
 
-// flushWithRetry flushes the checkpoint, retrying failed flushes with
-// exponential backoff per SweepOptions.FlushRetries/FlushBackoff. ctx bounds
-// the waiting: a cancelled sweep stops retrying immediately so cancellation
-// stays prompt (RunSweep's final flush passes an independent context so the
-// completed prefix still lands on disk after a cancel).
-func flushWithRetry(ckpt *Checkpoint, opt SweepOptions, ctx context.Context) error {
-	backoff := opt.FlushBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	var err error
+// Checkpoint flush failures are often transient (ENOSPC races, NFS hiccups,
+// scanners holding the file), and a long-running service should not lose a
+// job to one, so a failed flush is retried flushRetries times with
+// exponential backoff from flushBackoff before it aborts the sweep.
+const (
+	flushRetries = 4
+	flushBackoff = 50 * time.Millisecond
+)
+
+// flushWithRetry flushes the checkpoint, retrying failures other than
+// ErrStateConflict. ctx bounds the waiting: a cancelled sweep stops retrying
+// immediately so cancellation stays prompt (RunSweep's final flush passes an
+// independent context so the completed prefix still lands on disk after a
+// cancel).
+func flushWithRetry(ctx context.Context, ckpt *Checkpoint) error {
+	backoff := flushBackoff
 	for attempt := 0; ; attempt++ {
-		err = ckpt.Flush()
-		if err == nil || attempt >= opt.FlushRetries || errors.Is(err, ErrStateConflict) {
+		err := ckpt.Flush()
+		if err == nil || attempt >= flushRetries || errors.Is(err, ErrStateConflict) {
 			return err
 		}
 		select {

@@ -143,7 +143,8 @@ type SpecRequest struct {
 }
 
 // Spec resolves the request into a RunSpec, applying mdasim's defaulting
-// rules. Budgets are not set here; the job layer owns them.
+// rules, and rejects a spec that no run could simulate. Budgets are not set
+// here; the job layer owns them.
 func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 	if !workloads.Valid(r.Bench) {
 		return experiments.RunSpec{}, fmt.Errorf("unknown benchmark %q", r.Bench)
@@ -176,7 +177,14 @@ func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 	if r.WriteFailProb < 0 || r.WriteFailProb >= 1 {
 		return experiments.RunSpec{}, fmt.Errorf("write_fail_prob must be in [0, 1) (got %g)", r.WriteFailProb)
 	}
-	return experiments.RunSpec{
+	// Negative values simulate like 0 but would key apart from it.
+	if r.TileSize < 0 {
+		return experiments.RunSpec{}, fmt.Errorf("tile_size must be >= 0 (got %d)", r.TileSize)
+	}
+	if r.SubBuffers < 0 {
+		return experiments.RunSpec{}, fmt.Errorf("sub_buffers must be >= 0 (got %d)", r.SubBuffers)
+	}
+	spec := experiments.RunSpec{
 		Bench:         r.Bench,
 		N:             n,
 		Design:        design,
@@ -189,7 +197,13 @@ func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 		SubBuffers:    r.SubBuffers,
 		WriteFailProb: r.WriteFailProb,
 		FaultSeed:     r.FaultSeed,
-	}, nil
+	}
+	// An unknown tech, or a machine the scale leaves invalid, fails every
+	// run of the spec.
+	if _, err := spec.Config(); err != nil {
+		return experiments.RunSpec{}, err
+	}
+	return spec, nil
 }
 
 // SubmitRequest is the body of POST /jobs: one or more specs plus optional
@@ -280,7 +294,7 @@ type RunEvent struct {
 	Err     string   `json:"err,omitempty"`
 	ErrCode sim.Code `json:"err_code,omitempty"`
 	Resumed bool     `json:"resumed,omitempty"`
-	Cached  bool     `json:"cached,omitempty"` // satisfied by the cross-job spec cache
+	Cached  bool     `json:"cached,omitempty"` // satisfied by the cross-job spec memo
 
 	// Metrics is the run's full obs snapshot — the "streamed progress"
 	// payload. Nil for failed runs.

@@ -69,7 +69,7 @@ func TestUpgradeSingleNodeStateDir(t *testing.T) {
 		Runs: golden[:1]}
 	writeRecord(t, dir, done)
 
-	s, ts := testServer(t, Options{StateDir: dir, Workers: 2, CacheSpecs: -1})
+	s, ts := testServer(t, Options{StateDir: dir, Workers: 2})
 	j, ok := s.Job(running.ID)
 	if !ok {
 		t.Fatal("running job not re-admitted")

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,6 +139,9 @@ func TestValidation(t *testing.T) {
 		{Specs: []SpecRequest{{Bench: "sgemm", Design: "9Z9Z"}}}, // bad design
 		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", Scale: -1}}},
 		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", WriteFailProb: 1.5}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", Tech: "bogus"}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", SubBuffers: -3}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", TileSize: -4}}},
 	}
 	for i, req := range cases {
 		var aerr APIError
@@ -418,7 +420,7 @@ func TestRestartResume(t *testing.T) {
 		t.Fatalf("golden sweep: %v", err)
 	}
 
-	s1, err := New(Options{StateDir: dir, Workers: 1, DrainTimeout: time.Millisecond, CacheSpecs: -1})
+	s1, err := New(Options{StateDir: dir, Workers: 1, DrainTimeout: time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -446,7 +448,7 @@ func TestRestartResume(t *testing.T) {
 	}
 
 	// Restart on the same state dir: the job is re-admitted and resumes.
-	s2, ts2 := testServer(t, Options{StateDir: dir, Workers: 2, CacheSpecs: -1})
+	s2, ts2 := testServer(t, Options{StateDir: dir, Workers: 2})
 	if _, ok := s2.Job(resp.ID); !ok {
 		t.Fatalf("job %s not re-admitted after restart", resp.ID)
 	}
@@ -545,7 +547,7 @@ func TestSpecCacheSingleFlight(t *testing.T) {
 	if sta.State != StateDone || stb.State != StateDone {
 		t.Fatalf("states: %s / %s", sta.State, stb.State)
 	}
-	if s.cache == nil || s.cache.len() != 1 {
+	if s.cache == nil || s.cache.Len() != 1 {
 		t.Fatalf("spec cache should hold exactly the one shared entry")
 	}
 	if len(sta.Runs) != 1 || len(stb.Runs) != 1 || !sta.Runs[0].OK() || !stb.Runs[0].OK() {
@@ -553,6 +555,36 @@ func TestSpecCacheSingleFlight(t *testing.T) {
 	}
 	if err := experiments.DiffRunResults(sta.Runs, stb.Runs); err != nil {
 		t.Fatalf("shared spec produced different results: %v", err)
+	}
+}
+
+// TestJobKeepsTechVariantsApart submits one job whose two specs differ only
+// in memory technology. The spec memo and the job checkpoint are keyed by
+// experiments.SpecKey, so both runs must come back with their own results:
+// the ones experiments.Run gives for each spec.
+func TestJobKeepsTechVariantsApart(t *testing.T) {
+	_, ts := testServer(t, Options{StateDir: t.TempDir()})
+	stt := SpecRequest{Bench: "sgemm", Design: "1P2L", N: 16, Scale: 16}
+	reram := stt
+	reram.Tech = "reram"
+
+	var resp SubmitResponse
+	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{stt, reram}}, &resp)
+	st := waitDone(t, ts, resp.ID)
+	if st.State != StateDone || len(st.Runs) != 2 {
+		t.Fatalf("job: state %s, %d runs (err %v)", st.State, len(st.Runs), st.Error)
+	}
+	for i, req := range []SpecRequest{stt, reram} {
+		want, err := experiments.Run(mustSpec(t, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Runs[i].Results; got == nil || got.Cycles != want.Cycles {
+			t.Fatalf("run %d (%s): served %+v, direct run %d cycles", i, req.Tech, got, want.Cycles)
+		}
+	}
+	if st.Runs[0].Results.Cycles == st.Runs[1].Results.Cycles {
+		t.Fatalf("stt and reram both ran %d cycles", st.Runs[0].Results.Cycles)
 	}
 }
 
@@ -769,36 +801,5 @@ func TestPublishSeqOrder(t *testing.T) {
 	}
 	if n != uint64(publishers*each) {
 		t.Fatalf("log holds %d events, want %d", n, publishers*each)
-	}
-}
-
-// TestCacheWaitCancelledVsTimeout: a waiter whose context ends while another
-// job's run is in flight must report what actually happened — cancellation as
-// cancelled, deadline expiry as timeout — not mislabel every exit a timeout.
-func TestCacheWaitCancelledVsTimeout(t *testing.T) {
-	spec, err := smallSpec(16, 0).Spec()
-	if err != nil {
-		t.Fatalf("spec: %v", err)
-	}
-	c := newSpecCache(4)
-	// An in-flight owner that never finishes, so the waiter's own context
-	// decides the outcome.
-	c.entries[experiments.SpecKey(spec)] = &cacheEntry{done: make(chan struct{})}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, shared, werr := c.run(ctx, spec, experiments.Instrument{})
-	if !shared {
-		t.Fatal("waiter must report shared")
-	}
-	if code := sim.CodeOf(werr); code != sim.CodeCancelled || !errors.Is(werr, context.Canceled) {
-		t.Fatalf("cancelled waiter: code %q err %v, want %q wrapping context.Canceled", code, werr, sim.CodeCancelled)
-	}
-
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer dcancel()
-	_, _, werr = c.run(dctx, spec, experiments.Instrument{})
-	if code := sim.CodeOf(werr); code != sim.CodeTimeout || !errors.Is(werr, sim.ErrTimeout) {
-		t.Fatalf("deadline waiter: code %q err %v, want %q wrapping ErrTimeout", code, werr, sim.CodeTimeout)
 	}
 }

@@ -50,10 +50,6 @@ type Options struct {
 	// checkpointing and abandoning them. Default 30s.
 	DrainTimeout time.Duration
 
-	// CacheSpecs bounds the cross-job single-flight results cache (entries;
-	// default 256; negative disables caching).
-	CacheSpecs int
-
 	// NodeID names this process among the daemons sharing StateDir. Every
 	// server is a fleet member; a lone one is a fleet of one. Default
 	// "local".
@@ -91,9 +87,6 @@ func (o Options) withDefaults() Options {
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 30 * time.Second
 	}
-	if o.CacheSpecs == 0 {
-		o.CacheSpecs = 256
-	}
 	if o.NodeID == "" {
 		o.NodeID = "local"
 	}
@@ -106,6 +99,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// specCacheSize bounds the completed design points the server shares across
+// jobs (experiments.Memo).
+const specCacheSize = 256
+
 // Server is the job service: admission control in front of a bounded queue,
 // a dispatcher feeding at most MaxActive concurrent sweeps, durable job state
 // under StateDir, and per-job event streams. Create with New, serve its
@@ -113,7 +110,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opt   Options
 	store *store
-	cache *specCache // nil when CacheSpecs < 0
+	cache *experiments.Memo // design points shared across jobs
 	start time.Time
 
 	baseCtx context.Context // cancelled at the drain deadline
@@ -166,9 +163,7 @@ func New(opt Options) (*Server, error) {
 		quit:         make(chan struct{}),
 		stopped:      make(chan struct{}),
 		fleetStopped: make(chan struct{}),
-	}
-	if opt.CacheSpecs > 0 {
-		s.cache = newSpecCache(opt.CacheSpecs)
+		cache:        experiments.NewMemo(specCacheSize),
 	}
 	s.baseCtx, s.baseCut = context.WithCancel(context.Background())
 
@@ -783,20 +778,30 @@ func (s *Server) runJob(j *job) {
 		defer dcancel()
 	}
 
-	// sharedKeys marks runs satisfied through the cross-job cache so the
+	// sharedKeys marks runs satisfied through the cross-job memo so the
 	// event stream can label them.
 	var sharedMu sync.Mutex
 	sharedKeys := make(map[string]bool)
+
+	runShared := func(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, error) {
+		res, shared, err := s.cache.Do(ctx, spec, func(ctx context.Context, spec experiments.RunSpec) (*core.Results, error) {
+			return experiments.RunWith(ctx, spec, ins)
+		})
+		if shared {
+			sharedMu.Lock()
+			sharedKeys[experiments.SpecKey(spec)] = true
+			sharedMu.Unlock()
+		}
+		return res, err
+	}
 
 	opt := experiments.SweepOptions{
 		MaxCycles:  budget.MaxCycles,
 		Timeout:    time.Duration(budget.RunTimeoutMS) * time.Millisecond,
 		Workers:    s.opt.Workers,
 		FlushEvery: s.opt.FlushEvery,
-		// A long-running service retries transient checkpoint-write
-		// failures instead of failing the job.
-		FlushRetries: 4,
-		Log:          s.opt.Log,
+		Log:        s.opt.Log,
+		Run:        runShared,
 		OnRun: func(index int, run experiments.SweepRun) {
 			s.onRun(j, index, run, sharedKeys, &sharedMu)
 		},
@@ -808,18 +813,6 @@ func (s *Server) runJob(j *job) {
 			return s.store.writeJobFileFenced(j.id, node, epoch, path, data)
 		},
 	}
-	if s.cache != nil {
-		opt.Run = func(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, error) {
-			res, shared, err := s.cache.run(ctx, spec, ins)
-			if shared {
-				sharedMu.Lock()
-				sharedKeys[experiments.SpecKey(spec)] = true
-				sharedMu.Unlock()
-			}
-			return res, err
-		}
-	}
-
 	runs, err := s.opt.runSweep(ctx, specs, opt)
 
 	switch {
