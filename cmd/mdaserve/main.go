@@ -11,6 +11,13 @@
 //	mdaserve -state-dir ./state -max-active 2 -workers 4 -max-queue 32
 //	mdaserve -state-dir ./state -timeout 5m -max-cycles 2000000000 # default budgets
 //
+// -workers sets the simulation slots the whole daemon shares (default
+// GOMAXPROCS): at most that many runs simulate at once, across every job.
+// -max-active bounds the jobs running at once and defaults to the slot count,
+// so one job's checkpoint flush or memo wait overlaps another's simulation.
+// Finished jobs live on disk only; the daemon answers for them from
+// -state-dir, and so does any peer sharing it.
+//
 // Every daemon is a fleet member: it registers its bound address under
 // <state-dir>/nodes/<node-id>.json (node ID "local" by default), and every job
 // holds a lease that its owner renews. A lone daemon is a fleet of one; a
@@ -65,8 +72,8 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		stateDir  = flag.String("state-dir", "", "durable job-state directory (required): job records, checkpoints and event logs; a restart on it resumes interrupted jobs")
 		maxQueue  = flag.Int("max-queue", 64, "queued-job bound; submissions beyond it get 429")
-		maxActive = flag.Int("max-active", 1, "jobs running concurrently")
-		workers   = flag.Int("workers", 0, "sweep worker pool per job (0 = GOMAXPROCS)")
+		maxActive = flag.Int("max-active", 0, "jobs running concurrently (0 = as many as -workers)")
+		workers   = flag.Int("workers", 0, "simulation slots shared by every job, and each job's sweep pool size (0 = GOMAXPROCS)")
 		maxCycles = flag.Uint64("max-cycles", 0, "default per-run simulated-cycle budget (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 30*time.Minute, "default per-run wall-clock budget")
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before checkpointing them")
@@ -97,8 +104,11 @@ func main() {
 	if *stateDir == "" {
 		usagef("-state-dir is required")
 	}
-	if *maxQueue < 1 || *maxActive < 1 {
-		usagef("-max-queue and -max-active must be >= 1")
+	if *maxQueue < 1 {
+		usagef("-max-queue must be >= 1")
+	}
+	if *maxActive < 0 {
+		usagef("-max-active must be >= 0 (0 = as many as -workers)")
 	}
 	if *timeout < 0 || *drainFor < 0 {
 		usagef("-timeout and -drain-timeout must be non-negative")

@@ -29,8 +29,8 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{nil, "-state-dir is required"},
 		{[]string{"-addr", "127.0.0.1:0"}, "-state-dir is required"},
-		{[]string{"-state-dir", dir, "-max-queue", "0"}, "-max-queue and -max-active must be >= 1"},
-		{[]string{"-state-dir", dir, "-max-active", "0"}, "-max-queue and -max-active must be >= 1"},
+		{[]string{"-state-dir", dir, "-max-queue", "0"}, "-max-queue must be >= 1"},
+		{[]string{"-state-dir", dir, "-max-active", "-1"}, "-max-active must be >= 0"},
 		{[]string{"-state-dir", dir, "-timeout", "-1s"}, "must be non-negative"},
 		{[]string{"positional"}, "unexpected arguments"},
 		{[]string{"-no-such-flag"}, "not defined"},

@@ -215,12 +215,12 @@ func TestBuildsShareMetricNames(t *testing.T) {
 		t.Fatalf("counter sets differ: %d vs %d", len(a.Counters), len(b.Counters))
 	}
 	ptrs := make(map[string]*byte, len(b.Counters))
-	for k := range b.Counters {
-		ptrs[k] = unsafe.StringData(k)
+	for _, e := range b.Counters {
+		ptrs[e.Name] = unsafe.StringData(e.Name)
 	}
-	for k := range a.Counters {
-		if p, ok := ptrs[k]; !ok || p != unsafe.StringData(k) {
-			t.Fatalf("counter %q not shared between builds", k)
+	for _, e := range a.Counters {
+		if p, ok := ptrs[e.Name]; !ok || p != unsafe.StringData(e.Name) {
+			t.Fatalf("counter %q not shared between builds", e.Name)
 		}
 	}
 }

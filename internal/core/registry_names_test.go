@@ -74,17 +74,17 @@ func TestRegistryNameSet(t *testing.T) {
 		}
 		snap := m.Registry.Snapshot()
 		var got []string
-		for n := range snap.Counters {
-			got = append(got, n)
+		for _, e := range snap.Counters {
+			got = append(got, e.Name)
 		}
-		for n := range snap.Floats {
-			got = append(got, n)
+		for _, e := range snap.Floats {
+			got = append(got, e.Name)
 		}
-		for n := range snap.Gauges {
-			got = append(got, n)
+		for _, e := range snap.Gauges {
+			got = append(got, e.Name)
 		}
-		for n := range snap.Hists {
-			got = append(got, n)
+		for _, e := range snap.Hists {
+			got = append(got, e.Name)
 		}
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {

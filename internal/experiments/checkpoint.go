@@ -83,6 +83,10 @@ const checkpointVersion = 1
 // interrupted sweep resumes from where it stopped instead of re-simulating
 // completed design points. Every flush rewrites the file atomically
 // (temp file + rename), so a crash mid-write never corrupts existing state.
+// The file is compact JSON; indented files written by earlier versions load
+// the same. Each entry is encoded once, at its first flush, and later
+// flushes join the stored encodings, so a flush costs the new entries'
+// encoding plus a copy rather than a re-encoding of every run.
 //
 // A Checkpoint is safe for concurrent use: parallel sweep workers record
 // finished runs from many goroutines (see SweepOptions.Workers).
@@ -90,7 +94,9 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	path    string
 	entries map[string]checkpointEntry
-	dirty   int // entries recorded since the last flush
+	keys    []string          // entry keys in the order they were first added
+	enc     map[string][]byte // compact encoding of entries[key], from its first flush
+	dirty   int               // entries recorded since the last flush
 
 	// writeFile replaces WriteFileAtomic for flushes when non-nil
 	// (SweepOptions.WriteState: fenced writes in a distributed service).
@@ -101,7 +107,7 @@ type Checkpoint struct {
 // file yields an empty checkpoint; a malformed one is a *CheckpointError
 // rather than silently discarded state.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	c := &Checkpoint{path: path, entries: make(map[string]checkpointEntry)}
+	c := &Checkpoint{path: path, entries: make(map[string]checkpointEntry), enc: make(map[string][]byte)}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return c, nil
@@ -125,7 +131,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 			return nil, ckptErr(path, "decode",
 				fmt.Errorf("entry %q has neither results nor an error", e.Key))
 		}
-		c.entries[e.Key] = e
+		c.put(e)
 	}
 	return c, nil
 }
@@ -201,19 +207,45 @@ func (c *Checkpoint) Flush() error {
 }
 
 func (c *Checkpoint) record(key string, r *core.Results, errMsg string, code sim.Code) {
-	c.entries[key] = checkpointEntry{Key: key, Err: errMsg, Code: code, Results: r}
+	c.put(checkpointEntry{Key: key, Err: errMsg, Code: code, Results: r})
 	c.dirty++
 }
 
+// put stores e, replacing (and forgetting the encoding of) any entry under
+// its key. Caller holds c.mu or owns c.
+func (c *Checkpoint) put(e checkpointEntry) {
+	if _, ok := c.entries[e.Key]; ok {
+		delete(c.enc, e.Key)
+	} else {
+		c.keys = append(c.keys, e.Key)
+	}
+	c.entries[e.Key] = e
+}
+
+// flushLocked writes the state file: a checkpointFile with the entries in
+// the order they were added, each in its stored encoding.
 func (c *Checkpoint) flushLocked() error {
-	f := checkpointFile{Version: checkpointVersion}
-	for _, e := range c.entries {
-		f.Entries = append(f.Entries, e)
+	size := 64
+	for _, key := range c.keys {
+		enc, ok := c.enc[key]
+		if !ok {
+			var err error
+			if enc, err = json.Marshal(c.entries[key]); err != nil {
+				return ckptErr(c.path, "flush", err)
+			}
+			c.enc[key] = enc
+		}
+		size += len(enc) + 1
 	}
-	data, err := json.MarshalIndent(f, "", " ")
-	if err != nil {
-		return ckptErr(c.path, "flush", err)
+	data := make([]byte, 0, size)
+	data = fmt.Appendf(data, `{"version":%d,"entries":[`, checkpointVersion)
+	for i, key := range c.keys {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = append(data, c.enc[key]...)
 	}
+	data = append(data, "]}"...)
 	write := c.writeFile
 	if write == nil {
 		write = WriteFileAtomic

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -185,5 +186,79 @@ func TestSweepStateConflictAborts(t *testing.T) {
 	}
 	if n := sims.Load(); n != 1 {
 		t.Fatalf("%d runs simulated after the conflict aborted the sweep, want 1", n)
+	}
+}
+
+// TestLoadIndentedCheckpoint resumes from a state file as earlier versions
+// wrote it (indented JSON): every run comes from the file, none is
+// simulated again, the results are those a fresh run gives, and the next
+// flush rewrites the file compact without losing an entry.
+func TestLoadIndentedCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint-indented.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specs := []RunSpec{
+		{Bench: "sgemm", Design: core.D0Baseline, N: 16, LLCBytes: 1 << 20, Scale: 16},
+		{Bench: "sgemm", Design: core.D1DiffSet, N: 16, LLCBytes: 1 << 20, Scale: 16},
+	}
+	simulated := 0
+	runs, err := RunSweep(context.Background(), specs, SweepOptions{
+		StatePath: path,
+		Run: func(ctx context.Context, spec RunSpec, ins Instrument) (*core.Results, error) {
+			simulated++
+			return RunWith(ctx, spec, ins)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simulated != 0 {
+		t.Fatalf("%d runs simulated again, want 0", simulated)
+	}
+	fresh, err := RunSweep(context.Background(), specs, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if !r.Resumed {
+			t.Fatalf("run %s not resumed", r.Key)
+		}
+	}
+	if err := DiffRunResults(fresh, runs); err != nil {
+		t.Fatalf("resumed results differ from a fresh run: %v", err)
+	}
+
+	c, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RecordBuffered("extra", fresh[0].Results, "", "")
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(out, []byte("\n")) {
+		t.Fatal("flush wrote an indented file")
+	}
+	back, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(fresh, SweepRun{Key: "extra", Results: fresh[0].Results}) {
+		got, ok := back.Results(r.Key)
+		if !ok {
+			t.Fatalf("entry %s lost by the rewrite", r.Key)
+		}
+		if err := DiffRunResults([]SweepRun{{Key: r.Key, Results: r.Results}}, []SweepRun{{Key: r.Key, Results: got}}); err != nil {
+			t.Fatalf("entry %s changed by the rewrite: %v", r.Key, err)
+		}
 	}
 }

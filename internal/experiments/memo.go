@@ -55,14 +55,8 @@ func (m *Memo) Do(ctx context.Context, spec RunSpec, run func(context.Context, R
 			case <-e.done:
 			case <-ctx.Done():
 				// This caller's context ended while waiting: report the
-				// run's own verdict, not the owner's. A deadline is this
-				// run's timeout; a cancellation (client cancel, drain) is a
-				// cancellation and must not masquerade as one.
-				sentinel := error(sim.ErrTimeout)
-				if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					sentinel = ctx.Err()
-				}
-				return nil, true, &sim.Error{Component: "experiments", Op: "memo-wait", Err: sentinel}
+				// run's own verdict, not the owner's.
+				return nil, true, WaitError(ctx, "memo-wait")
 			}
 			if e.err == nil {
 				return e.res, true, nil
@@ -93,6 +87,19 @@ func (m *Memo) Do(ctx context.Context, spec RunSpec, run func(context.Context, R
 		close(e.done)
 		return e.res, false, e.err
 	}
+}
+
+// WaitError is the error of a run whose ctx ended while it waited to start
+// (op names the wait): a deadline is the run's timeout, sim.ErrTimeout; a
+// cancellation (client cancel, drain) stays a cancellation and must not
+// masquerade as one. Neither is a property of the spec, so a Memo never
+// shares it.
+func WaitError(ctx context.Context, op string) error {
+	sentinel := error(sim.ErrTimeout)
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		sentinel = ctx.Err()
+	}
+	return &sim.Error{Component: "experiments", Op: op, Err: sentinel}
 }
 
 // transientRunErr reports whether err reflects the run's environment (budget,

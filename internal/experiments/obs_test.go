@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,7 +84,7 @@ func TestMetricsOracle(t *testing.T) {
 			check("mem.read_latency_sum", r.Mem.ReadLatency)
 			check("mem.write_retries", r.Mem.WriteRetries)
 			check("mem.write_faults", r.Mem.WriteFaults)
-			if got := m.Floats["mem.energy.activation_pj"]; got != r.Mem.Energy.ActivationPJ {
+			if got, _ := m.Floats.Get("mem.energy.activation_pj"); got != r.Mem.Energy.ActivationPJ {
 				t.Errorf("mem.energy.activation_pj = %g, legacy %g", got, r.Mem.Energy.ActivationPJ)
 			}
 
@@ -92,7 +93,7 @@ func TestMetricsOracle(t *testing.T) {
 			if ev, _ := m.Counter("sim.events"); ev == 0 {
 				t.Error("sim.events is zero after a full run")
 			}
-			h, ok := m.Hists["mem.read_latency"]
+			h, ok := m.Hists.Get("mem.read_latency")
 			if !ok || h.Count != r.Mem.TotalReads() {
 				t.Errorf("mem.read_latency count = %d (present=%v), want %d reads",
 					h.Count, ok, r.Mem.TotalReads())
@@ -250,5 +251,100 @@ func BenchmarkRunInstrumented(b *testing.B) {
 		if _, err := RunWith(context.Background(), spec, Instrument{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// mapSnapshot holds a snapshot's metrics in maps. encoding/json's encoding
+// of it is the reference obs.Snapshot's JSON must match byte for byte:
+// checkpoints, job records and event logs written in either form are read
+// by the other.
+type mapSnapshot struct {
+	Counters map[string]uint64           `json:"counters,omitempty"`
+	Floats   map[string]float64          `json:"floats,omitempty"`
+	Gauges   map[string]int64            `json:"gauges,omitempty"`
+	Hists    map[string]obs.HistSnapshot `json:"hists,omitempty"`
+}
+
+func asMaps(s obs.Snapshot) mapSnapshot {
+	return mapSnapshot{
+		Counters: toMap(s.Counters),
+		Floats:   toMap(s.Floats),
+		Gauges:   toMap(s.Gauges),
+		Hists:    toMap(s.Hists),
+	}
+}
+
+func toMap[V any](m obs.Metrics[V]) map[string]V {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]V, len(m))
+	for _, e := range m {
+		out[e.Name] = e.Value
+	}
+	return out
+}
+
+// TestSnapshotJSONMatchesMapEncoding pins the snapshot codec on every golden
+// design point: the encoding equals encoding/json's encoding of the same
+// metrics in maps, the names are sorted and unique, and a decode followed by
+// an encode round-trips exactly.
+func TestSnapshotJSONMatchesMapEncoding(t *testing.T) {
+	for _, g := range goldenRows {
+		g := g
+		t.Run(g.name(), func(t *testing.T) {
+			r, err := Run(g.spec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := r.Metrics
+			// A machine registers no gauges; obs's own tests cover them.
+			if len(s.Counters) == 0 || len(s.Floats) == 0 || len(s.Hists) == 0 {
+				t.Fatalf("snapshot lacks a metric kind: %d counters, %d floats, %d hists",
+					len(s.Counters), len(s.Floats), len(s.Hists))
+			}
+			for i := 1; i < len(s.Counters); i++ {
+				if s.Counters[i-1].Name >= s.Counters[i].Name {
+					t.Fatalf("counters not sorted by name at %q, %q", s.Counters[i-1].Name, s.Counters[i].Name)
+				}
+			}
+			got, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(asMaps(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("snapshot JSON differs from the map encoding:\n got %s\nwant %s", got, want)
+			}
+			var back obs.Snapshot
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, s) {
+				t.Fatalf("decode changed the snapshot: %s", obs.DiffSnapshots(s, back))
+			}
+			if cap(back.Counters) != len(back.Counters) || cap(back.Hists) != len(back.Hists) {
+				t.Fatalf("decoded kinds hold spare capacity: counters %d/%d, hists %d/%d",
+					len(back.Counters), cap(back.Counters), len(back.Hists), cap(back.Hists))
+			}
+			again, err := json.Marshal(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, got) {
+				t.Fatal("re-encoding a decoded snapshot changed its bytes")
+			}
+			// The whole Results record encodes the same with either form.
+			full, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(full, append([]byte(`"Metrics":`), want...)) {
+				t.Fatal("Results JSON does not carry the map-encoded snapshot")
+			}
+		})
 	}
 }

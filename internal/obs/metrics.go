@@ -18,10 +18,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -235,50 +234,44 @@ type HistSnapshot struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
+// Metric is one named value in a Snapshot.
+type Metric[V any] struct {
+	Name  string
+	Value V
+}
+
+// Metrics is one kind of metric in a Snapshot, sorted by name. It encodes as
+// a JSON object keyed by name, byte-identical to encoding/json's encoding of
+// a map[string]V, whose keys are sorted the same way.
+type Metrics[V any] []Metric[V]
+
+// Get returns the named value, and whether it exists, by binary search.
+func (m Metrics[V]) Get(name string) (V, bool) {
+	i, ok := slices.BinarySearchFunc(m, name, func(e Metric[V], name string) int {
+		return strings.Compare(e.Name, name)
+	})
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return m[i].Value, true
+}
+
 // Snapshot is a point-in-time copy of every registered metric. It JSON
 // round-trips exactly (uint64/sparse buckets; float64 uses Go's shortest
 // round-trippable encoding) and compares with reflect.DeepEqual, which the
-// determinism harness relies on.
+// determinism harness relies on. Each kind is a name-sorted slice rather
+// than a map: a run's Results keep its snapshot for as long as they are
+// held, and a slice costs under half the memory.
 type Snapshot struct {
-	Counters map[string]uint64       `json:"counters,omitempty"`
-	Floats   map[string]float64      `json:"floats,omitempty"`
-	Gauges   map[string]int64        `json:"gauges,omitempty"`
-	Hists    map[string]HistSnapshot `json:"hists,omitempty"`
+	Counters Metrics[uint64]       `json:"counters,omitempty"`
+	Floats   Metrics[float64]      `json:"floats,omitempty"`
+	Gauges   Metrics[int64]        `json:"gauges,omitempty"`
+	Hists    Metrics[HistSnapshot] `json:"hists,omitempty"`
 }
 
-// UnmarshalJSON decodes a snapshot, swapping each metric name for its
-// interned copy when the name is registered in this process, so decoded
-// snapshots (checkpoints, served results) share name storage with live
-// ones. Unknown names are kept as decoded and never interned.
-func (s *Snapshot) UnmarshalJSON(data []byte) error {
-	type plain Snapshot // drops the method, avoiding recursion
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*s = Snapshot{
-		Counters: canonicalKeys(p.Counters),
-		Floats:   canonicalKeys(p.Floats),
-		Gauges:   canonicalKeys(p.Gauges),
-		Hists:    canonicalKeys(p.Hists),
-	}
-	return nil
-}
-
-func canonicalKeys[V any](m map[string]V) map[string]V {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]V, len(m))
-	names.RLock()
-	defer names.RUnlock()
-	for k, v := range m {
-		if c, ok := names.m[k]; ok {
-			k = c
-		}
-		out[k] = v
-	}
-	return out
+func sortMetrics[V any](m Metrics[V]) {
+	slices.SortFunc(m, func(a, b Metric[V]) int { return strings.Compare(a.Name, b.Name) })
 }
 
 // Snapshot copies all current metric values. Zero-valued counters are
@@ -288,53 +281,47 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(r.counters))
-		for name, p := range r.counters {
-			s.Counters[name] = *p
-		}
-	}
-	if len(r.floats) > 0 {
-		s.Floats = make(map[string]float64, len(r.floats))
-		for name, p := range r.floats {
-			s.Floats[name] = *p
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.v
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Hists = make(map[string]HistSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			hs := HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-			for i, n := range h.buckets {
-				if n > 0 {
-					hs.Buckets = append(hs.Buckets, HistBucket{Log2: i, N: n})
-				}
+	s.Counters = snapshotKind(r.counters, func(p *uint64) uint64 { return *p })
+	s.Floats = snapshotKind(r.floats, func(p *float64) float64 { return *p })
+	s.Gauges = snapshotKind(r.gauges, func(g *Gauge) int64 { return g.v })
+	s.Hists = snapshotKind(r.hists, func(h *Histogram) HistSnapshot {
+		hs := HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+		for i, n := range h.buckets {
+			if n > 0 {
+				hs.Buckets = append(hs.Buckets, HistBucket{Log2: i, N: n})
 			}
-			s.Hists[name] = hs
 		}
-	}
+		return hs
+	})
 	return s
+}
+
+// snapshotKind reads every metric of one kind, sorted by name.
+func snapshotKind[P, V any](m map[string]P, read func(P) V) Metrics[V] {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(Metrics[V], 0, len(m))
+	for name, p := range m {
+		out = append(out, Metric[V]{name, read(p)})
+	}
+	sortMetrics(out)
+	return out
 }
 
 // Counter returns the named counter's value from the snapshot, and whether it
 // exists.
 func (s Snapshot) Counter(name string) (uint64, bool) {
-	v, ok := s.Counters[name]
-	return v, ok
+	return s.Counters.Get(name)
 }
 
 // SumCounters adds up every counter whose name ends in suffix — e.g.
 // SumCounters(".hits") totals demand hits across cache levels.
 func (s Snapshot) SumCounters(suffix string) uint64 {
 	var total uint64
-	for name, v := range s.Counters {
-		if strings.HasSuffix(name, suffix) {
-			total += v
+	for _, e := range s.Counters {
+		if strings.HasSuffix(e.Name, suffix) {
+			total += e.Value
 		}
 	}
 	return total
@@ -344,49 +331,41 @@ func (s Snapshot) SumCounters(suffix string) uint64 {
 // between a and b, or returns "" when they are identical. The determinism
 // harness uses it to turn "snapshots differ" into an actionable message.
 func DiffSnapshots(a, b Snapshot) string {
-	for _, k := range sortedKeys(a.Counters, b.Counters) {
-		av, aok := a.Counters[k]
-		bv, bok := b.Counters[k]
-		if aok != bok || av != bv {
-			return fmt.Sprintf("counter %s: %d vs %d", k, av, bv)
-		}
+	if k, av, bv, ok := firstDiff(a.Counters, b.Counters, func(x, y uint64) bool { return x == y }); ok {
+		return fmt.Sprintf("counter %s: %d vs %d", k, av, bv)
 	}
-	for _, k := range sortedKeys(a.Floats, b.Floats) {
-		av, aok := a.Floats[k]
-		bv, bok := b.Floats[k]
-		if aok != bok || av != bv {
-			return fmt.Sprintf("float %s: %g vs %g", k, av, bv)
-		}
+	if k, av, bv, ok := firstDiff(a.Floats, b.Floats, func(x, y float64) bool { return x == y }); ok {
+		return fmt.Sprintf("float %s: %g vs %g", k, av, bv)
 	}
-	for _, k := range sortedKeys(a.Gauges, b.Gauges) {
-		av, aok := a.Gauges[k]
-		bv, bok := b.Gauges[k]
-		if aok != bok || av != bv {
-			return fmt.Sprintf("gauge %s: %d vs %d", k, av, bv)
-		}
+	if k, av, bv, ok := firstDiff(a.Gauges, b.Gauges, func(x, y int64) bool { return x == y }); ok {
+		return fmt.Sprintf("gauge %s: %d vs %d", k, av, bv)
 	}
-	for _, k := range sortedKeys(a.Hists, b.Hists) {
-		av, aok := a.Hists[k]
-		bv, bok := b.Hists[k]
-		if aok != bok || av.Count != bv.Count || av.Sum != bv.Sum {
-			return fmt.Sprintf("histogram %s: count %d sum %d vs count %d sum %d",
-				k, av.Count, av.Sum, bv.Count, bv.Sum)
-		}
+	if k, av, bv, ok := firstDiff(a.Hists, b.Hists, func(x, y HistSnapshot) bool {
+		return x.Count == y.Count && x.Sum == y.Sum
+	}); ok {
+		return fmt.Sprintf("histogram %s: count %d sum %d vs count %d sum %d",
+			k, av.Count, av.Sum, bv.Count, bv.Sum)
 	}
 	return ""
 }
 
-func sortedKeys[V any](ms ...map[string]V) []string {
-	seen := make(map[string]bool)
-	var keys []string
-	for _, m := range ms {
-		for k := range m {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
+// firstDiff walks two name-sorted lists together and returns the first name
+// present in only one of them or whose values differ; a missing side reads
+// as the zero value.
+func firstDiff[V any](a, b Metrics[V], same func(V, V) bool) (name string, av, bv V, found bool) {
+	var zero V
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && a[i].Name < b[j].Name):
+			return a[i].Name, a[i].Value, zero, true
+		case i == len(a) || b[j].Name < a[i].Name:
+			return b[j].Name, zero, b[j].Value, true
+		case !same(a[i].Value, b[j].Value):
+			return a[i].Name, a[i].Value, b[j].Value, true
 		}
+		i++
+		j++
 	}
-	sort.Strings(keys)
-	return keys
+	return "", zero, zero, false
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -75,7 +76,7 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 9 {
 		t.Fatalf("gauge = %d, want 9", g.Value())
 	}
-	if got := r.Snapshot().Gauges["depth"]; got != 9 {
+	if got, _ := r.Snapshot().Gauges.Get("depth"); got != 9 {
 		t.Fatalf("snapshot gauge = %d, want 9", got)
 	}
 }
@@ -92,7 +93,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if got := h.Mean(); got != 107.0/6.0 {
 		t.Fatalf("mean = %g, want %g", got, 107.0/6.0)
 	}
-	hs := r.Snapshot().Hists["lat"]
+	hs, _ := r.Snapshot().Hists.Get("lat")
 	if hs.Min != 0 || hs.Max != 100 || hs.Sum != 107 {
 		t.Fatalf("snapshot = %+v, want min 0 max 100 sum 107", hs)
 	}
@@ -129,6 +130,69 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONEdgeCases compares the snapshot codec with encoding/json's
+// map encoding where the two could part: names that JSON escapes, floats in
+// exponent form, negative gauges, empty histograms and empty kinds.
+func TestSnapshotJSONEdgeCases(t *testing.T) {
+	s := Snapshot{
+		Counters: Metrics[uint64]{{"a&b", 1}, {"a<b>", 2}, {"caf\u00e9", 3}, {"q\"uote", 1 << 63}},
+		Floats:   Metrics[float64]{{"big", 1e21}, {"neg", -2.5e-9}, {"small", 1e-7}, {"zero", 0}},
+		Gauges:   Metrics[int64]{{"g", -9}},
+		Hists:    Metrics[HistSnapshot]{{"empty", HistSnapshot{}}, {"h", HistSnapshot{Count: 2, Sum: 9, Min: 1, Max: 8, Buckets: []HistBucket{{1, 1}, {4, 1}}}}},
+	}
+	type maps struct {
+		Counters map[string]uint64       `json:"counters,omitempty"`
+		Floats   map[string]float64      `json:"floats,omitempty"`
+		Gauges   map[string]int64        `json:"gauges,omitempty"`
+		Hists    map[string]HistSnapshot `json:"hists,omitempty"`
+	}
+	m := maps{map[string]uint64{}, map[string]float64{}, map[string]int64{}, map[string]HistSnapshot{}}
+	for _, e := range s.Counters {
+		m.Counters[e.Name] = e.Value
+	}
+	for _, e := range s.Floats {
+		m.Floats[e.Name] = e.Value
+	}
+	for _, e := range s.Gauges {
+		m.Gauges[e.Name] = e.Value
+	}
+	for _, e := range s.Hists {
+		m.Hists[e.Name] = e.Value
+	}
+	for _, c := range []struct {
+		name string
+		s    Snapshot
+		m    maps
+	}{
+		{"all kinds", s, m},
+		{"counters only", Snapshot{Counters: s.Counters}, maps{Counters: m.Counters}},
+		{"hists only", Snapshot{Hists: s.Hists}, maps{Hists: m.Hists}},
+		{"empty", Snapshot{}, maps{}},
+	} {
+		got, err := json.Marshal(c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, want)
+		}
+		var back Snapshot
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, c.s) {
+			t.Errorf("%s: round trip changed the snapshot: %+v vs %+v", c.name, back, c.s)
+		}
+	}
+	if _, err := json.Marshal(Snapshot{Floats: Metrics[float64]{{"nan", math.NaN()}}}); err == nil {
+		t.Error("NaN float encoded without an error")
+	}
+}
+
 func TestSumCounters(t *testing.T) {
 	r := NewRegistry()
 	var l1, l2, other uint64 = 10, 32, 5
@@ -142,7 +206,7 @@ func TestSumCounters(t *testing.T) {
 
 func TestDiffSnapshots(t *testing.T) {
 	mk := func(v uint64) Snapshot {
-		return Snapshot{Counters: map[string]uint64{"a": 1, "b": v}}
+		return Snapshot{Counters: Metrics[uint64]{{"a", 1}, {"b", v}}}
 	}
 	if d := DiffSnapshots(mk(2), mk(2)); d != "" {
 		t.Fatalf("equal snapshots diff: %q", d)
@@ -151,11 +215,11 @@ func TestDiffSnapshots(t *testing.T) {
 		t.Fatalf("diff = %q", d)
 	}
 	// A key present on one side only is a difference too.
-	if d := DiffSnapshots(mk(2), Snapshot{Counters: map[string]uint64{"a": 1}}); d == "" {
+	if d := DiffSnapshots(mk(2), Snapshot{Counters: Metrics[uint64]{{"a", 1}}}); d == "" {
 		t.Fatal("missing key not reported")
 	}
-	a := Snapshot{Hists: map[string]HistSnapshot{"h": {Count: 1, Sum: 5}}}
-	b := Snapshot{Hists: map[string]HistSnapshot{"h": {Count: 1, Sum: 6}}}
+	a := Snapshot{Hists: Metrics[HistSnapshot]{{"h", HistSnapshot{Count: 1, Sum: 5}}}}
+	b := Snapshot{Hists: Metrics[HistSnapshot]{{"h", HistSnapshot{Count: 1, Sum: 6}}}}
 	if d := DiffSnapshots(a, b); d == "" {
 		t.Fatal("histogram divergence not reported")
 	}
@@ -192,9 +256,9 @@ func TestSnapshotDecodeInternsKnownNames(t *testing.T) {
 	if !reflect.DeepEqual(s, back) {
 		t.Fatalf("round trip changed the snapshot: %+v vs %+v", s, back)
 	}
-	for k := range back.Counters {
-		if unsafe.StringData(k) != unsafe.StringData(internName("intern.test.known")) {
-			t.Fatalf("decoded name %q not interned", k)
+	for _, e := range back.Counters {
+		if unsafe.StringData(e.Name) != unsafe.StringData(internName("intern.test.known")) {
+			t.Fatalf("decoded name %q not interned", e.Name)
 		}
 	}
 
@@ -213,8 +277,10 @@ func TestSnapshotDecodeInternsKnownNames(t *testing.T) {
 	if got := size(); got != before {
 		t.Fatalf("decoding unknown names grew the interned set from %d to %d", before, got)
 	}
-	if v, _ := u.Counter("intern.test.unknown.a"); v != 1 || u.Floats["intern.test.unknown.b"] != 2 ||
-		u.Gauges["intern.test.unknown.c"] != 3 || u.Hists["intern.test.unknown.d"].Sum != 4 {
+	f, _ := u.Floats.Get("intern.test.unknown.b")
+	g, _ := u.Gauges.Get("intern.test.unknown.c")
+	h, _ := u.Hists.Get("intern.test.unknown.d")
+	if v, _ := u.Counter("intern.test.unknown.a"); v != 1 || f != 2 || g != 3 || h.Sum != 4 {
 		t.Fatalf("unknown names decoded wrong: %+v", u)
 	}
 }

@@ -16,6 +16,12 @@
 //   - Drain: shutdown stops admission, lets in-flight jobs finish (or
 //     checkpoints them at the drain deadline), and resumes them on restart.
 //
+// Running jobs share one server-wide pool of Options.Workers simulation
+// slots, so MaxActive (default: the slot count) bounds jobs, not
+// simulations. Memory holds the live jobs: a finished job lives in the
+// store, which answers every query about it on its owner and on any peer
+// (a finish the store failed to take stays in memory until a retry lands).
+//
 // There is one serving mode. Every Server is a fleet member (Options.NodeID,
 // default "local"): its jobs hold leases in the shared state dir, and every
 // write on a job's behalf is fenced on the job's claim epoch, so a lone
@@ -304,7 +310,7 @@ type RunEvent struct {
 // Health answers GET /healthz.
 type Health struct {
 	Status   string `json:"status"` // "ok" or "draining"
-	Jobs     int    `json:"jobs"`
+	Jobs     int    `json:"jobs"`   // jobs in this node's memory: the live ones, and a finished one only while the store lacks its finish
 	Queued   int    `json:"queued"`
 	Running  int    `json:"running"`
 	UptimeMS int64  `json:"uptime_ms"`

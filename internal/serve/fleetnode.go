@@ -12,7 +12,8 @@ import (
 //     directory so peers and clients can resolve it;
 //  2. renew — extend the lease on every job this node actively owns
 //     (queued or running); a renewal refused with errFenced means a peer
-//     stole the job and the local copy is withdrawn;
+//     stole the job and the local copy is withdrawn; retry the store writes
+//     a finished job still in memory lacks;
 //  3. steal — claim expired leases from the shared store while this node
 //     has idle capacity, re-admitting each stolen job to resume from its
 //     checkpoint.
@@ -54,7 +55,8 @@ func (s *Server) heartbeat() {
 
 // renewOwned extends the lease on every job this node is actively working
 // (queued or running). Parked and terminal jobs hold no lease worth renewing;
-// a fenced renewal means the job was stolen while we stalled.
+// a fenced renewal means the job was stolen while we stalled. A finished job
+// still in memory gets its finish written to the store again.
 func (s *Server) renewOwned() {
 	s.mu.Lock()
 	owned := make([]*job, 0, len(s.jobs))
@@ -66,6 +68,10 @@ func (s *Server) renewOwned() {
 		j.mu.Lock()
 		state, epoch := j.state, j.epoch
 		j.mu.Unlock()
+		if state.Terminal() {
+			s.retryFinish(j) // in memory only while the store lacks part of it
+			continue
+		}
 		if state != StateQueued && state != StateRunning {
 			continue
 		}
@@ -116,12 +122,12 @@ func (s *Server) stealExpired() {
 		if st, ok := local[e.id]; ok && st != StateStolen {
 			continue // already ours (the renewal loop keeps it alive)
 		}
-		rec, err := s.store.loadJob(e.id)
+		rec, err := s.store.loadHead(e.id)
 		if err != nil {
 			continue
 		}
 		if rec.State.Terminal() {
-			s.store.unmarkLive(rec)
+			s.store.unmarkLive(rec.jobRecord)
 			continue
 		}
 		if !rec.leaseExpired(now) {

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 )
@@ -54,9 +56,7 @@ func httpStatus(code string) int {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v) // a failed write means the client left; nothing to do
+	json.NewEncoder(w).Encode(v) // a failed write means the client left; nothing to do
 }
 
 func writeErr(w http.ResponseWriter, aerr *APIError) {
@@ -129,7 +129,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		for {
 			j, ok := s.Job(id)
 			if !ok {
-				break // remote or unknown: StatusAny below settles it
+				break // finished, remote or unknown: Status below settles it
 			}
 			j.mu.Lock()
 			settled := settledLocked(j)
@@ -148,7 +148,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	st, ok := s.StatusAny(id, includeRuns)
+	st, ok := s.Status(id, includeRuns)
 	if !ok {
 		writeErr(w, apiErrorf(CodeNotFound, "no job %s", id))
 		return
@@ -164,19 +164,6 @@ const eventWriteTimeout = 30 * time.Second
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.Job(id)
-	if !ok {
-		// Event streams are owner-only (the broker is in-process state): a
-		// peer answers with the owner's address so the client can reconnect
-		// there instead of getting a 404 for a job that exists.
-		if _, err := s.store.loadJob(id); err == nil {
-			writeErr(w, s.notOwnerError(id))
-			return
-		}
-		writeErr(w, apiErrorf(CodeNotFound, "no job %s", id))
-		return
-	}
-
 	// ?from= skips the first N events (a reconnecting client resumes after
 	// its high-water mark instead of re-reading history).
 	seen := 0
@@ -187,6 +174,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seen = from
+	}
+	j, ok := s.Job(id)
+	if !ok {
+		s.replayStored(w, id, uint64(seen))
+		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -245,14 +237,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, aerr := s.Cancel(id)
-	if aerr != nil && aerr.Code == CodeNotFound {
-		if _, err := s.store.loadJob(id); err == nil {
-			aerr = s.notOwnerError(id)
-		}
+// replayStored answers an events request for a job this node does not hold
+// in memory. A finished job's stream is its event log, which ends with the
+// terminal event: any node copies the stored lines from seq from on. A live
+// job's stream is in its owner's broker, so a peer answers with the owner's
+// address and the client reconnects there.
+func (s *Server) replayStored(w http.ResponseWriter, id string, from uint64) {
+	rec, err := s.store.loadHead(id)
+	switch {
+	case err != nil:
+		writeErr(w, apiErrorf(CodeNotFound, "no job %s", id))
+		return
+	case !rec.State.Terminal():
+		writeErr(w, s.notOwnerError(id))
+		return
 	}
+	lines, err := s.store.eventLines(id, from)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		writeErr(w, apiErrorf("internal", "event log of job %s: %v", id, err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(http.StatusOK)
+	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(eventWriteTimeout))
+	w.Write(lines) // a failed write means the client left; nothing to do
+}
+
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	st, aerr := s.Cancel(r.PathValue("id"))
 	if aerr != nil {
 		writeErr(w, aerr)
 		return

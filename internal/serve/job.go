@@ -23,7 +23,6 @@ type job struct {
 	started  time.Time
 	finished time.Time
 
-	runs      []experiments.SweepRun
 	completed int
 	failed    int
 	resumed   int
@@ -44,6 +43,14 @@ type job struct {
 	// fencing epoch of that claim.
 	node  string
 	epoch uint64
+
+	// A finished job stays in memory (held) while the store lacks part of
+	// it: unsaved is its terminal record when that save failed, and logGap
+	// says an event append failed, so only the broker has the whole stream.
+	// The fleet loop retries both (retryFinish) and then drops the job.
+	held    bool
+	unsaved *jobRecord
+	logGap  bool
 
 	// pubMu serializes seq assignment + event-log append + broadcast so
 	// concurrent publishers (Cancel racing onRun, say) cannot emit events out
@@ -73,18 +80,9 @@ func (j *job) notifyLocked() {
 	j.changed = make(chan struct{})
 }
 
-// watch returns a channel closed at the job's next state transition. Callers
-// must re-check the job's state after the close and call watch again — the
-// channel is one-shot.
-func (j *job) watch() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.changed
-}
-
 // record snapshots the job into its durable form. Caller holds j.mu.
 func (j *job) recordLocked() jobRecord {
-	rec := jobRecord{
+	return jobRecord{
 		ID:         j.id,
 		Key:        j.key,
 		State:      j.state,
@@ -97,18 +95,18 @@ func (j *job) recordLocked() jobRecord {
 		NodeID:     j.node,
 		Epoch:      j.epoch,
 	}
-	if j.state.Terminal() {
-		rec.Runs = j.runs
-	}
-	return rec
 }
 
-// status snapshots the job for GET /jobs/{id}. queuePos is 1-based (0 when
-// not queued); includeRuns attaches the full run list.
-func (j *job) status(queuePos int, includeRuns bool) JobStatus {
+// status snapshots a live job for GET /jobs/{id}; queuePos is 1-based (0 when
+// not queued). live is false once the job has finished: its status is then
+// the store's to give, with the run list the store alone keeps.
+func (j *job) status(queuePos int) (st JobStatus, live bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	if j.state.Terminal() {
+		return JobStatus{}, false
+	}
+	st = JobStatus{
 		ID:         j.id,
 		State:      j.state,
 		Error:      j.err,
@@ -120,14 +118,12 @@ func (j *job) status(queuePos int, includeRuns bool) JobStatus {
 		Completed:  j.completed,
 		Failed:     j.failed,
 		Resumed:    j.resumed,
+		Node:       j.node,
 	}
 	if j.state == StateQueued {
 		st.Queue = queuePos
 	}
-	if includeRuns && j.state.Terminal() {
-		st.Runs = j.runs
-	}
-	return st
+	return st, true
 }
 
 // nextEventLocked stamps a fresh event with the job's identity and the next
@@ -136,11 +132,4 @@ func (j *job) nextEventLocked() JobEvent {
 	ev := JobEvent{Seq: j.seq, JobID: j.id, TimeMS: time.Now().UnixMilli()}
 	j.seq++
 	return ev
-}
-
-// terminal reports whether the job has finished (any terminal state).
-func (j *job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
 }

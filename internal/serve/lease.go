@@ -137,10 +137,11 @@ func (s *store) fenced(id string, h fence, fn func() error) error {
 	})
 }
 
-// loadJob reads one job's durable record.
+// loadJob reads one job's durable record, runs and all.
 func (s *store) loadJob(id string) (jobRecord, error) {
-	recs, err := readJobRecord(s.jobPath(id))
-	return recs, err
+	var rec jobRecord
+	err := readRecord(s.jobPath(id), &rec, &rec)
+	return rec, err
 }
 
 // claimJob takes ownership of the job for node: it succeeds when the job is

@@ -126,7 +126,9 @@ func TestLiveIndex(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
 	defer close(release)
-	a, tsA := testServer(t, Options{StateDir: dir, NodeID: "a", Lease: time.Hour,
+	// MaxActive 1: the second job waits in the queue, so its cancel
+	// finishes it before DELETE returns.
+	a, tsA := testServer(t, Options{StateDir: dir, NodeID: "a", Lease: time.Hour, MaxActive: 1,
 		runSweep: blockingSweep(release)})
 
 	// A job in flight is indexed; a finished one leaves the index.

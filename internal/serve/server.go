@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -19,8 +22,9 @@ import (
 )
 
 // Options configures a Server. Only StateDir is required: with the other
-// fields zero it queues up to 64 jobs, runs one at a time, and imposes a
-// 30-minute cycle-unlimited default budget per run.
+// fields zero it queues up to 64 jobs, runs GOMAXPROCS simulations and as
+// many jobs at a time, and imposes a 30-minute cycle-unlimited default budget
+// per run.
 type Options struct {
 	// StateDir roots the durable job store: job records, sweep checkpoints
 	// and event logs, from which a restarted server resumes. Required.
@@ -29,10 +33,14 @@ type Options struct {
 	// MaxQueue bounds how many jobs may wait for a slot; submissions beyond
 	// it are shed with CodeQueueFull (HTTP 429). Default 64.
 	MaxQueue int
-	// MaxActive bounds how many jobs run concurrently. Default 1 — each job
-	// already fans out across Workers simulation goroutines.
+	// MaxActive bounds how many jobs run concurrently. Default: Workers.
+	// Running jobs share the simulation slots, so more active jobs do not
+	// mean more simulations at once; they let one job's checkpoint flush or
+	// spec-memo wait overlap another job's simulation.
 	MaxActive int
-	// Workers is each job's sweep worker-pool size (0 = GOMAXPROCS).
+	// Workers is the number of simulation slots the whole server shares
+	// (0 = GOMAXPROCS): at most Workers runs simulate at once, across every
+	// job. It also sizes each job's sweep pool.
 	Workers int
 
 	// DefaultMaxCycles is the per-run simulated-cycle budget applied when a
@@ -69,14 +77,20 @@ type Options struct {
 	// runSweep replaces experiments.RunSweep (tests: fault and panic
 	// injection at the job layer).
 	runSweep func(ctx context.Context, specs []experiments.RunSpec, opt experiments.SweepOptions) ([]experiments.SweepRun, error)
+	// simulate replaces experiments.RunWith inside a simulation slot (tests:
+	// count and hold simulations).
+	simulate func(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, error)
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxQueue == 0 {
 		o.MaxQueue = 64
 	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
 	if o.MaxActive == 0 {
-		o.MaxActive = 1
+		o.MaxActive = o.Workers
 	}
 	if o.DefaultRunTimeout == 0 {
 		o.DefaultRunTimeout = 30 * time.Minute
@@ -96,6 +110,9 @@ func (o Options) withDefaults() Options {
 	if o.runSweep == nil {
 		o.runSweep = experiments.RunSweep
 	}
+	if o.simulate == nil {
+		o.simulate = experiments.RunWith
+	}
 	return o
 }
 
@@ -104,20 +121,24 @@ func (o Options) withDefaults() Options {
 const specCacheSize = 256
 
 // Server is the job service: admission control in front of a bounded queue,
-// a dispatcher feeding at most MaxActive concurrent sweeps, durable job state
-// under StateDir, and per-job event streams. Create with New, serve its
-// Handler, and Shutdown to drain.
+// a dispatcher feeding at most MaxActive concurrent sweeps, which share
+// Workers simulation slots, durable job state under StateDir, and per-job
+// event streams. Memory holds the live jobs: a finished job lives in the
+// store, which answers for it, and stays in memory only until the store has
+// taken its finish whole. Create with New, serve its Handler, and Shutdown
+// to drain.
 type Server struct {
 	opt   Options
 	store *store
 	cache *experiments.Memo // design points shared across jobs
+	slots chan struct{}     // one token per running simulation, server-wide
 	start time.Time
 
 	baseCtx context.Context // cancelled at the drain deadline
 	baseCut context.CancelFunc
 
 	mu        sync.Mutex
-	jobs      map[string]*job
+	jobs      map[string]*job // live jobs (and stolen ones' local twins)
 	byKey     map[string]*job // non-terminal jobs by dedup key
 	queue     []*job
 	admitting int // submissions persisted but not yet enqueued
@@ -148,7 +169,8 @@ type Server struct {
 // New builds a Server and re-admits every resumable job found in StateDir
 // whose lease it can claim: jobs that were queued, running, checkpointed or
 // shed when their owner died or drained re-enter the queue (oldest first) and
-// resume from their sweep checkpoints. Terminal jobs stay queryable.
+// resume from their sweep checkpoints. Terminal jobs stay on disk, where
+// every query about them is answered.
 func New(opt Options) (*Server, error) {
 	if opt.StateDir == "" {
 		return nil, errors.New("serve: Options.StateDir is required")
@@ -164,6 +186,7 @@ func New(opt Options) (*Server, error) {
 		stopped:      make(chan struct{}),
 		fleetStopped: make(chan struct{}),
 		cache:        experiments.NewMemo(specCacheSize),
+		slots:        make(chan struct{}, opt.Workers),
 	}
 	s.baseCtx, s.baseCut = context.WithCancel(context.Background())
 
@@ -183,33 +206,23 @@ func New(opt Options) (*Server, error) {
 		return nil, err
 	}
 	for _, rec := range recs {
-		if !rec.State.Terminal() {
-			// A peer may own (or be finishing) this job: only re-admit
-			// what we can claim. Unclaimable jobs stay off the local map;
-			// their statuses are served from disk.
-			claimed, cerr := st.claimJob(rec.ID, opt.NodeID, opt.Lease)
-			switch {
-			case cerr == nil:
-				// Interrupted job: back to the queue, resuming from its
-				// checkpoint. The prior owner's partial progress is on disk.
-				s.readmitLocked(claimed, "re-admitted")
-				continue
-			case errors.Is(cerr, errJobTerminal):
-				// A peer finished it since the scan: serve that record.
-				if rec, cerr = st.loadJob(rec.ID); cerr != nil {
-					continue
-				}
-			case errors.Is(cerr, errLeaseHeld):
-				continue
-			default:
-				s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
-				continue
-			}
+		if rec.State.Terminal() {
+			continue
 		}
-		j := jobFromRecord(rec)
-		close(j.done)
-		j.broker.Close()
-		s.jobs[j.id] = j
+		// A peer may own (or be finishing) this job: only re-admit what we
+		// can claim. Unclaimable jobs stay off the local map; their
+		// statuses are served from disk.
+		claimed, cerr := st.claimJob(rec.ID, opt.NodeID, opt.Lease)
+		switch {
+		case cerr == nil:
+			// Interrupted job: back to the queue, resuming from its
+			// checkpoint. The prior owner's partial progress is on disk.
+			s.readmitLocked(claimed, "re-admitted")
+		case errors.Is(cerr, errJobTerminal), errors.Is(cerr, errLeaseHeld):
+			// A peer finished it since the scan, or holds it.
+		default:
+			s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
+		}
 	}
 
 	go s.dispatch()
@@ -230,10 +243,6 @@ func jobFromRecord(rec jobRecord) *job {
 	}
 	if rec.FinishedMS != 0 {
 		j.finished = time.UnixMilli(rec.FinishedMS)
-	}
-	if rec.State.Terminal() {
-		j.runs = rec.Runs
-		tallyRuns(j, rec.Runs)
 	}
 	return j
 }
@@ -451,7 +460,7 @@ func (s *Server) dedupOnDiskLocked(key string) (id string, state State, ok bool)
 		if e.key != key {
 			continue
 		}
-		if rec, err := s.store.loadJob(e.id); err == nil && !rec.State.Terminal() {
+		if rec, err := s.store.loadHead(e.id); err == nil && !rec.State.Terminal() {
 			return rec.ID, rec.State, true
 		}
 	}
@@ -473,7 +482,7 @@ func (s *Server) resolveAddr(node string) string {
 // naming the current owner from the durable record.
 func (s *Server) notOwnerError(id string) *APIError {
 	aerr := apiErrorf(CodeNotOwner, "job %s is owned by another node", id)
-	if rec, err := s.store.loadJob(id); err == nil {
+	if rec, err := s.store.loadHead(id); err == nil {
 		aerr.Node = rec.NodeID
 		aerr.NodeAddr = s.resolveAddr(rec.NodeID)
 		aerr.Message = fmt.Sprintf("job %s is owned by node %s", id, rec.NodeID)
@@ -481,7 +490,8 @@ func (s *Server) notOwnerError(id string) *APIError {
 	return aerr
 }
 
-// Job returns the job by ID.
+// Job returns the live job by ID. A finished job is not in memory; ask
+// Status, which also reads the store.
 func (s *Server) Job(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -489,7 +499,11 @@ func (s *Server) Job(id string) (*job, bool) {
 	return j, ok
 }
 
-// Status snapshots one job, including its queue position.
+// Status snapshots one job wherever it is: a live job of this node from
+// memory, with its queue position; a finished job, or one a peer holds, from
+// the fleet's shared store. So any node answers for any job, and a client can
+// re-resolve a stolen job's owner by asking whoever responds. includeRuns
+// attaches a finished job's run list.
 func (s *Server) Status(id string, includeRuns bool) (JobStatus, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -503,41 +517,61 @@ func (s *Server) Status(id string, includeRuns bool) (JobStatus, bool) {
 		}
 	}
 	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false
-	}
-	st := j.status(pos, includeRuns)
-	j.mu.Lock()
-	node, stolen := j.node, j.state == StateStolen
-	j.mu.Unlock()
-	if stolen {
-		// The durable record names the thief — point the client there.
-		if rec, err := s.store.loadJob(id); err == nil {
-			node = rec.NodeID
+	if ok {
+		if st, live := j.status(pos); live {
+			if st.State == StateStolen {
+				// The durable record names the thief — point the client there.
+				if rec, err := s.store.loadHead(id); err == nil {
+					st.Node = rec.NodeID
+				}
+			}
+			st.NodeAddr = s.resolveAddr(st.Node)
+			return st, true
 		}
+		j.mu.Lock()
+		rec := j.unsaved
+		j.mu.Unlock()
+		if rec != nil {
+			return s.recordStatus(*rec, includeRuns), true
+		}
+		// Finished: its terminal record is durable, so the store answers.
 	}
-	st.Node = node
-	st.NodeAddr = s.resolveAddr(node)
-	return st, true
+	return s.storedStatus(id, includeRuns)
 }
 
-// StatusAny answers a status query for a job this node may not hold in
-// memory: local jobs first, then the fleet's shared store, so any node can
-// answer for any job (and a client can re-resolve a stolen job's owner by
-// asking whoever responds).
-func (s *Server) StatusAny(id string, includeRuns bool) (JobStatus, bool) {
-	if st, ok := s.Status(id, includeRuns); ok {
-		return st, true
+// storedStatus answers a status query from the job's durable record. Without
+// runs it decodes only each run's Err and Resumed fields.
+func (s *Server) storedStatus(id string, includeRuns bool) (JobStatus, bool) {
+	if includeRuns {
+		full, err := s.store.loadJob(id)
+		if err != nil {
+			return JobStatus{}, false
+		}
+		return s.recordStatus(full, true), true
 	}
-	rec, err := s.store.loadJob(id)
+	rec, err := s.store.loadHead(id)
 	if err != nil {
 		return JobStatus{}, false
 	}
-	return s.statusFromRecord(rec, includeRuns), true
+	return s.headStatus(rec, nil), true
 }
 
-// statusFromRecord snapshots a durable record into the wire status.
-func (s *Server) statusFromRecord(rec jobRecord, includeRuns bool) JobStatus {
+// recordStatus answers a status query from a whole job record.
+func (s *Server) recordStatus(full jobRecord, includeRuns bool) JobStatus {
+	rec := jobHead{jobRecord: full}
+	for _, r := range full.Runs {
+		rec.Runs = append(rec.Runs, runTally{Err: r.Err, Resumed: r.Resumed})
+	}
+	var runs []experiments.SweepRun
+	if includeRuns {
+		runs = full.Runs
+	}
+	return s.headStatus(rec, runs)
+}
+
+// headStatus builds a job's status from its record's head and, if wanted,
+// its run list.
+func (s *Server) headStatus(rec jobHead, runs []experiments.SweepRun) JobStatus {
 	st := JobStatus{
 		ID:         rec.ID,
 		State:      rec.State,
@@ -560,28 +594,38 @@ func (s *Server) statusFromRecord(rec jobRecord, includeRuns bool) JobStatus {
 				st.Resumed++
 			}
 		}
-		if includeRuns {
-			st.Runs = rec.Runs
-		}
+		st.Runs = runs
 	}
 	return st
 }
 
-// Statuses snapshots every job, oldest first.
+// Statuses snapshots every job of this node in memory and every finished
+// job in the store, oldest first, each as Status answers for it. A live job
+// a peer holds is its owner's to list: its record here does not say whether
+// it is running. Each finished job costs a read of its record's head, so a
+// listing's cost grows with the job history.
 func (s *Server) Statuses() []JobStatus {
+	ids := s.store.jobIDs()
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	pos := make(map[*job]int, len(s.queue))
-	for i, q := range s.queue {
-		pos[q] = i + 1
-	}
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+	for id := range s.jobs {
+		ids = append(ids, id)
 	}
 	s.mu.Unlock()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.status(pos[j], false)
+	sort.Strings(ids)
+	out := make([]JobStatus, 0, len(ids))
+	for i, id := range ids {
+		if i > 0 && ids[i-1] == id {
+			continue
+		}
+		if _, mine := s.Job(id); !mine {
+			if st, ok := s.storedStatus(id, false); ok && st.State.Terminal() {
+				out = append(out, st)
+			}
+			continue
+		}
+		if st, ok := s.Status(id, false); ok {
+			out = append(out, st)
+		}
 	}
 	// (CreatedMS, ID) is unique: IDs are.
 	sort.Slice(out, func(a, b int) bool {
@@ -595,13 +639,22 @@ func (s *Server) Statuses() []JobStatus {
 
 // Cancel cancels a job: a queued job is removed from the queue, a running job
 // has its sweep context cancelled (its completed prefix stays checkpointed).
-// Cancelling a terminal job is a no-op reporting the final state.
+// Cancelling a finished job is a no-op reporting its final state, on any
+// node; a live job another node holds is CodeNotOwner.
 func (s *Server) Cancel(id string) (JobStatus, *APIError) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		return JobStatus{}, apiErrorf(CodeNotFound, "no job %s", id)
+		rec, err := s.store.loadHead(id)
+		switch {
+		case err != nil:
+			return JobStatus{}, apiErrorf(CodeNotFound, "no job %s", id)
+		case !rec.State.Terminal():
+			return JobStatus{}, s.notOwnerError(id)
+		}
+		st, _ := s.storedStatus(id, false)
+		return st, nil
 	}
 	j.mu.Lock()
 	switch {
@@ -612,7 +665,6 @@ func (s *Server) Cancel(id string) (JobStatus, *APIError) {
 	case j.state.Terminal():
 		j.mu.Unlock()
 		s.mu.Unlock()
-		return j.status(0, false), nil
 	case j.state == StateQueued:
 		for i, q := range s.queue {
 			if q == j {
@@ -620,25 +672,10 @@ func (s *Server) Cancel(id string) (JobStatus, *APIError) {
 				break
 			}
 		}
-		delete(s.byKey, j.key)
-		j.state = StateCancelled
-		j.err = apiErrorf(CodeCancelled, "cancelled while queued")
-		j.finished = time.Now()
 		j.cancelled = true
-		close(j.done)
-		j.notifyLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
-		if err := s.persist(j); err != nil {
-			s.logf("%v", err)
-		}
-		s.publish(j, func(ev *JobEvent) {
-			ev.Type = "state"
-			ev.State = StateCancelled
-			ev.Error = j.err
-		})
-		j.broker.Close()
-		return j.status(0, false), nil
+		s.finishJob(j, nil, StateCancelled, apiErrorf(CodeCancelled, "cancelled while queued"))
 	default: // running
 		j.cancelled = true
 		cancel := j.cancel
@@ -647,8 +684,9 @@ func (s *Server) Cancel(id string) (JobStatus, *APIError) {
 		if cancel != nil {
 			cancel()
 		}
-		return j.status(0, false), nil
 	}
+	st, _ := s.Status(id, false)
+	return st, nil
 }
 
 // Health summarises the server for GET /healthz.
@@ -785,7 +823,16 @@ func (s *Server) runJob(j *job) {
 
 	runShared := func(ctx context.Context, spec experiments.RunSpec, ins experiments.Instrument) (*core.Results, error) {
 		res, shared, err := s.cache.Do(ctx, spec, func(ctx context.Context, spec experiments.RunSpec) (*core.Results, error) {
-			return experiments.RunWith(ctx, spec, ins)
+			// The slot is taken inside the memo's run, so a caller waiting
+			// on another job's run of the same spec holds none. A context
+			// that ends first returns its error, which the memo never shares.
+			select {
+			case s.slots <- struct{}{}:
+			case <-ctx.Done():
+				return nil, experiments.WaitError(ctx, "slot-wait")
+			}
+			defer func() { <-s.slots }()
+			return s.opt.simulate(ctx, spec, ins)
 		})
 		if shared {
 			sharedMu.Lock()
@@ -879,11 +926,15 @@ func (s *Server) onRun(j *job, index int, run experiments.SweepRun, sharedKeys m
 	})
 }
 
-// finishJob moves a job to a terminal state, persists it and closes its
-// stream. The terminal record is persisted under the claim epoch *before*
-// the in-memory commit: if a peer stole the job during the final flush the
-// fenced write refuses, we mark the job stolen instead, and exactly one
-// terminal record (the thief's, when it finishes) ever exists.
+// finishJob moves a job to a terminal state, persists it, closes its stream
+// and drops it from memory. The terminal record is persisted under the claim
+// epoch *before* the in-memory commit: if a peer stole the job during the
+// final flush the fenced write refuses, we mark the job stolen instead, and
+// exactly one terminal record (the thief's, when it finishes) ever exists.
+// From the drop on, the store answers for the job: its record for statuses
+// and its event log for replays. Should the terminal record or an event
+// append fail to land, the job is held in memory instead, answering from
+// there, and the fleet loop retries the writes (retryFinish).
 func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aerr *APIError) {
 	j.mu.Lock()
 	if j.state.Terminal() || j.state == StateStolen {
@@ -909,13 +960,13 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 		j.mu.Unlock()
 		return
 	}
+	if err != nil {
+		j.unsaved = &rec
+	}
 	j.finished = finished
 	j.state = state
 	j.err = aerr
-	j.runs = runs
 	j.cancel = nil
-	j.completed, j.failed, j.resumed = 0, 0, 0
-	tallyRuns(j, runs)
 	started := j.started
 	close(j.done)
 	j.notifyLocked()
@@ -936,6 +987,74 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 	})
 	j.broker.Close()
 	s.logf("serve: job %s -> %s (%d runs)", j.id, state, len(runs))
+	// Streams attached so far finish from the broker; later ones replay the
+	// log, which now ends with the terminal event. If the record or the log
+	// did not reach the store whole, the job stays in memory and answers
+	// from there until retryFinish mends the store.
+	j.mu.Lock()
+	j.held = j.unsaved != nil || j.logGap
+	held := j.held
+	j.mu.Unlock()
+	if !held {
+		s.forget(j)
+	}
+}
+
+// forget drops a finished job from memory: the store answers for it now.
+func (s *Server) forget(j *job) {
+	s.mu.Lock()
+	if s.jobs[j.id] == j {
+		delete(s.jobs, j.id)
+	}
+	s.mu.Unlock()
+}
+
+// retryFinish writes what a held job's finish could not: the event log,
+// rewritten from the broker's history, and the terminal record. Once both
+// are durable the job leaves memory. A peer that claimed the job meanwhile
+// owns it, and the store answers for it too.
+func (s *Server) retryFinish(j *job) {
+	j.mu.Lock()
+	held, rec, gap, epoch := j.held, j.unsaved, j.logGap, j.epoch
+	j.mu.Unlock()
+	if !held {
+		return
+	}
+	if gap {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, ev := range j.broker.History() {
+			if err := enc.Encode(ev); err != nil {
+				s.logf("serve: job %s event log: %v", j.id, err)
+				return
+			}
+		}
+		err := s.store.writeJobFileFenced(j.id, s.opt.NodeID, epoch, s.store.eventsPath(j.id), buf.Bytes())
+		if errors.Is(err, experiments.ErrStateConflict) {
+			s.forget(j)
+			return
+		}
+		if err != nil {
+			s.logf("serve: job %s event log: %v", j.id, err)
+			return
+		}
+	}
+	if rec != nil {
+		err := s.store.saveJobKeepLease(*rec, s.opt.Lease)
+		if errors.Is(err, errFenced) {
+			s.forget(j)
+			return
+		}
+		if err != nil {
+			s.logf("%v", err)
+			return
+		}
+	}
+	j.mu.Lock()
+	j.held, j.unsaved, j.logGap = false, nil, false
+	j.mu.Unlock()
+	s.logf("serve: job %s finish persisted on retry", j.id)
+	s.forget(j)
 }
 
 // markStolen withdraws a job whose lease a peer claimed: the durable record,
@@ -1093,23 +1212,12 @@ func (s *Server) publish(j *job, fill func(*JobEvent)) {
 		// stragglers (a late onRun from the cancelled sweep) stay local.
 		if err := s.store.appendEvent(j.id, ev); err != nil {
 			s.logf("serve: job %s event log: %v", j.id, err)
+			j.mu.Lock()
+			j.logGap = true
+			j.mu.Unlock()
 		}
 	}
 	j.broker.Publish(ev)
-}
-
-// tallyRuns recomputes the progress counters from a final run list. Caller
-// holds j.mu.
-func tallyRuns(j *job, runs []experiments.SweepRun) {
-	for _, r := range runs {
-		j.completed++
-		if r.Err != "" {
-			j.failed++
-		}
-		if r.Resumed {
-			j.resumed++
-		}
-	}
 }
 
 // jobKey derives the dedup key: a digest over the canonical spec keys and the

@@ -43,11 +43,26 @@ type jobRecord struct {
 	Runs []experiments.SweepRun `json:"runs,omitempty"`
 }
 
+// jobHead is a jobRecord read without its runs' results: everything but the
+// run list, and of each run only what a status counts. Reading one skips
+// every run's core.Results instead of decoding it.
+type jobHead struct {
+	jobRecord
+	Runs []runTally `json:"runs,omitempty"` // shadows jobRecord.Runs, which stays nil
+}
+
+// runTally is the part of a stored experiments.SweepRun that a status
+// counts.
+type runTally struct {
+	Err     string
+	Resumed bool
+}
+
 // store owns the on-disk layout under the state directory:
 //
-//	<dir>/jobs/<id>/job.json        — the jobRecord, atomically rewritten
+//	<dir>/jobs/<id>/job.json        — the jobRecord (compact JSON), atomically rewritten
 //	<dir>/jobs/<id>/checkpoint.json — the sweep checkpoint (RunSweep owns it)
-//	<dir>/jobs/<id>/events.jsonl    — append-only event log (best-effort)
+//	<dir>/jobs/<id>/events.jsonl    — append-only event log (rewritten whole after a failed append)
 //	<dir>/jobs/<id>/claim.lock      — the lease flock and fence (lease.go)
 //	<dir>/live/<id>.<key>           — live index: a link to each non-terminal job's claim.lock
 //
@@ -90,7 +105,7 @@ func (s *store) saveJob(rec jobRecord) error {
 	if err := os.MkdirAll(s.jobDir(rec.ID), 0o755); err != nil {
 		return fmt.Errorf("serve: job dir: %w", err)
 	}
-	data, err := json.MarshalIndent(rec, "", " ")
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("serve: encode job %s: %w", rec.ID, err)
 	}
@@ -174,28 +189,39 @@ func (s *store) reindex(recs []jobRecord) error {
 	return nil
 }
 
-// loadJobs reads every persisted job, oldest first (so re-admission preserves
-// submission order). A job directory with a corrupt or missing job.json is
-// skipped with a note rather than failing the whole daemon: one damaged job
-// must not hold the rest of the state dir hostage.
-func (s *store) loadJobs() (recs []jobRecord, skipped []string, err error) {
+// jobIDs lists the job directories in the store.
+func (s *store) jobIDs() []string {
 	entries, err := os.ReadDir(s.jobsDir())
 	if err != nil {
+		return nil
+	}
+	ids := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if e.IsDir() {
+			ids = append(ids, e.Name())
+		}
+	}
+	return ids
+}
+
+// loadJobs reads every persisted job without its runs, oldest first (so
+// re-admission preserves submission order). A job directory with a corrupt
+// or missing job.json is skipped with a note rather than failing the whole
+// daemon: one damaged job must not hold the rest of the state dir hostage.
+func (s *store) loadJobs() (recs []jobRecord, skipped []string, err error) {
+	if _, err := os.Stat(s.jobsDir()); err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil, nil
 		}
 		return nil, nil, fmt.Errorf("serve: scan state dir: %w", err)
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
+	for _, id := range s.jobIDs() {
+		var h jobHead
+		if rerr := readRecord(s.jobPath(id), &h.jobRecord, &h); rerr != nil {
+			skipped = append(skipped, id)
 			continue
 		}
-		rec, rerr := readJobRecord(s.jobPath(e.Name()))
-		if rerr != nil {
-			skipped = append(skipped, e.Name())
-			continue
-		}
-		recs = append(recs, rec)
+		recs = append(recs, h.jobRecord)
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].CreatedMS != recs[j].CreatedMS {
@@ -206,21 +232,28 @@ func (s *store) loadJobs() (recs []jobRecord, skipped []string, err error) {
 	return recs, skipped, nil
 }
 
-// readJobRecord decodes one job.json. A missing file surfaces as
-// os.ErrNotExist; a present-but-empty record is corruption.
-func readJobRecord(path string) (jobRecord, error) {
-	var rec jobRecord
+// readRecord decodes one job.json into v, which is rec or a value embedding
+// it. A missing file surfaces as os.ErrNotExist; a present-but-empty record
+// is corruption.
+func readRecord(path string, rec *jobRecord, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return rec, err
+		return err
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, fmt.Errorf("serve: decode %s: %w", path, err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("serve: decode %s: %w", path, err)
 	}
 	if rec.ID == "" {
-		return rec, fmt.Errorf("serve: %s: record has no id", path)
+		return fmt.Errorf("serve: %s: record has no id", path)
 	}
-	return rec, nil
+	return nil
+}
+
+// loadHead reads one job's durable record without its runs' results.
+func (s *store) loadHead(id string) (jobHead, error) {
+	var h jobHead
+	err := readRecord(s.jobPath(id), &h.jobRecord, &h)
+	return h, err
 }
 
 // loadEvents replays a job's persisted event log (for re-admission and
@@ -243,6 +276,29 @@ func (s *store) loadEvents(id string) []JobEvent {
 		evs = append(evs, ev)
 	}
 	return evs
+}
+
+// eventLines returns the stored NDJSON lines of a job's event log whose seq
+// is from or later, each with its newline, as written. Only each line's seq
+// is decoded; torn or corrupt lines are skipped, as loadEvents skips them.
+func (s *store) eventLines(id string, from uint64) ([]byte, error) {
+	data, err := os.ReadFile(s.eventsPath(id))
+	if err != nil {
+		return nil, err
+	}
+	out := data[:0] // compacts in place: a kept line never overtakes its source
+	for len(data) > 0 {
+		line, rest, _ := bytes.Cut(data, []byte("\n"))
+		data = rest
+		var ev struct {
+			Seq *uint64 `json:"seq"`
+		}
+		if json.Unmarshal(line, &ev) != nil || ev.Seq == nil || *ev.Seq < from {
+			continue
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out, nil
 }
 
 // Membership registry: each fleet node heartbeats a small JSON file under
